@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/gen/snapshot.h"
+#include "src/gen/lsgbin.h"
 #include "src/service/shard_map.h"
 #include "src/service/sharded_graph.h"
 

@@ -4,8 +4,8 @@
 //
 //   ./engine_comparison [scale] [avg_degree]
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/analytics/bfs.h"
@@ -14,6 +14,7 @@
 #include "src/baselines/terrace_graph.h"
 #include "src/core/lsgraph.h"
 #include "src/gen/datasets.h"
+#include "src/util/parse.h"
 #include "src/util/timer.h"
 
 namespace {
@@ -58,8 +59,18 @@ void Print(const char* name, const Report& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int scale = argc > 1 ? std::atoi(argv[1]) : 15;
-  double avg_degree = argc > 2 ? std::atof(argv[2]) : 16.0;
+  const std::optional<int> scale_arg =
+      argc > 1 ? ParseNumber<int>(argv[1]) : std::optional<int>(15);
+  const std::optional<double> degree_arg =
+      argc > 2 ? ParseDouble(argv[2]) : std::optional<double>(16.0);
+  if (argc > 3 || !scale_arg || *scale_arg < 1 || *scale_arg > 30 ||
+      !degree_arg || *degree_arg <= 0.0) {
+    std::fprintf(stderr,
+                 "usage: engine_comparison [scale in 1..30] [avg_degree > 0]\n");
+    return 2;
+  }
+  const int scale = *scale_arg;
+  const double avg_degree = *degree_arg;
 
   DatasetSpec spec{"demo", scale, avg_degree, 42};
   std::vector<Edge> base = BuildDatasetEdges(spec);

@@ -17,11 +17,12 @@
 //   tc                     triangle count
 //   kcore                  maximum coreness
 //   stats                  vertices / edges / memory
-//   save <file>            write binary snapshot
+//   save <file>            write the graph as .lsgbin (make_lsgbin's format)
 //   quit
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,8 +33,9 @@
 #include "src/analytics/tc.h"
 #include "src/core/lsgraph.h"
 #include "src/gen/edge_io.h"
+#include "src/gen/lsgbin.h"
 #include "src/gen/rmat.h"
-#include "src/gen/snapshot.h"
+#include "src/util/parse.h"
 
 namespace {
 
@@ -49,7 +51,14 @@ void Help() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  VertexId n = argc > 1 ? std::atoi(argv[1]) : (1u << 16);
+  const std::optional<VertexId> n_arg =
+      argc > 1 ? ParseNumber<VertexId>(argv[1])
+               : std::optional<VertexId>(1u << 16);
+  if (argc > 2 || !n_arg || *n_arg == 0) {
+    std::fprintf(stderr, "usage: graph_cli [num_vertices >= 1]\n");
+    return 2;
+  }
+  const VertexId n = *n_arg;
   LSGraph graph(n);
   ThreadPool& pool = ThreadPool::Global();
   std::printf("lsgraph shell: %u vertices. Type 'help'.\n", n);
@@ -186,8 +195,12 @@ int main(int argc, char** argv) {
                       std::max<size_t>(graph.memory_footprint(), 1));
     } else if (std::strcmp(cmd, "save") == 0 &&
                std::sscanf(line, "%*s %255s", arg1) == 1) {
-      SaveSnapshot(graph, arg1);
-      std::printf("saved to %s\n", arg1);
+      try {
+        WriteLsgbin(arg1, graph.num_vertices(), DumpEdges(graph));
+        std::printf("saved to %s\n", arg1);
+      } catch (const std::exception& e) {
+        std::printf("error: %s\n", e.what());
+      }
     } else {
       Help();
     }

@@ -6,21 +6,34 @@
 //
 //   ./social_stream [num_users] [num_events]
 #include <cstdio>
-#include <cstdlib>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include "src/analytics/cc.h"
 #include "src/analytics/tc.h"
 #include "src/core/lsgraph.h"
 #include "src/gen/temporal.h"
+#include "src/util/parse.h"
 #include "src/util/timer.h"
 
 int main(int argc, char** argv) {
   using namespace lsg;
 
-  VertexId num_users = argc > 1 ? std::atoi(argv[1]) : 50000;
-  uint64_t num_events = argc > 2 ? std::atoll(argv[2]) : 400000;
+  const std::optional<VertexId> users_arg =
+      argc > 1 ? ParseNumber<VertexId>(argv[1])
+               : std::optional<VertexId>(50000);
+  const std::optional<uint64_t> events_arg =
+      argc > 2 ? ParseNumber<uint64_t>(argv[2])
+               : std::optional<uint64_t>(400000);
+  if (argc > 3 || !users_arg || *users_arg == 0 || !events_arg ||
+      *events_arg == 0) {
+    std::fprintf(stderr,
+                 "usage: social_stream [num_users >= 1] [num_events >= 1]\n");
+    return 2;
+  }
+  const VertexId num_users = *users_arg;
+  const uint64_t num_events = *events_arg;
 
   TemporalSpec spec{"social", num_users, num_events, /*repeat_prob=*/0.35,
                     /*seed=*/7};

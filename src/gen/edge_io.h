@@ -1,5 +1,5 @@
-// Edge-list file I/O: plain text ("src dst" per line, '#' comments, the SNAP
-// convention) and a packed little-endian binary format for fast reload.
+// Edge-list text I/O: "src dst" per line, '#' comments (the SNAP
+// convention). The binary graph format is .lsgbin (lsgbin.h).
 #ifndef SRC_GEN_EDGE_IO_H_
 #define SRC_GEN_EDGE_IO_H_
 
@@ -40,39 +40,6 @@ inline std::vector<Edge> ReadEdgesText(const std::string& path) {
     if (std::sscanf(line, "%lu %lu", &src, &dst) == 2) {
       edges.push_back(Edge{static_cast<VertexId>(src), static_cast<VertexId>(dst)});
     }
-  }
-  std::fclose(f);
-  return edges;
-}
-
-inline void WriteEdgesBinary(const std::string& path,
-                             const std::vector<Edge>& edges) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open for write: " + path);
-  }
-  uint64_t count = edges.size();
-  std::fwrite(&count, sizeof(count), 1, f);
-  if (count != 0) {
-    std::fwrite(edges.data(), sizeof(Edge), count, f);
-  }
-  std::fclose(f);
-}
-
-inline std::vector<Edge> ReadEdgesBinary(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    throw std::runtime_error("cannot open for read: " + path);
-  }
-  uint64_t count = 0;
-  if (std::fread(&count, sizeof(count), 1, f) != 1) {
-    std::fclose(f);
-    throw std::runtime_error("truncated header: " + path);
-  }
-  std::vector<Edge> edges(count);
-  if (count != 0 && std::fread(edges.data(), sizeof(Edge), count, f) != count) {
-    std::fclose(f);
-    throw std::runtime_error("truncated body: " + path);
   }
   std::fclose(f);
   return edges;

@@ -98,10 +98,26 @@ struct LoadedGraph {
   uint64_t watermark_lsn = 0;
 };
 
+// Extracts the full edge list of any engine or view, sorted by (src, dst)
+// and duplicate-free: exactly WriteLsgbin's input contract, so
+// WriteLsgbin(path, g.num_vertices(), DumpEdges(g)) saves any engine.
+template <typename G>
+std::vector<Edge> DumpEdges(const G& g) {
+  std::vector<Edge> edges;
+  edges.reserve(g.num_edges());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    g.map_neighbors(v, [&edges, v](VertexId u) {
+      edges.push_back(Edge{v, u});
+    });
+  }
+  return edges;
+}
+
 // Serializes a graph to `path`. `sorted_edges` must be sorted by (src, dst)
-// and duplicate-free, with every endpoint < num_vertices (the PrepareBatch /
-// BuildDatasetEdges output contract). num_ranges == 0 picks an edge-count
-// based default; it is clamped so every range holds at least one vertex.
+// and duplicate-free, with every endpoint < num_vertices (the DumpEdges /
+// PrepareBatch / BuildDatasetEdges output contract). num_ranges == 0 picks
+// an edge-count based default; it is clamped so every range holds at least
+// one vertex.
 // A non-null watermark_lsn appends the checksummed durability footer.
 // Returns the number of bytes written.
 inline size_t WriteLsgbin(const std::string& path, VertexId num_vertices,

@@ -1,5 +1,6 @@
 #include "src/service/router.h"
 
+#include <memory>
 #include <utility>
 
 #include "src/core/edgemap.h"
@@ -89,30 +90,6 @@ Router::KHopResult Router::KHop(VertexId source, uint32_t k) const {
     frontier = VertexSubset::FromVertices(n, std::move(next));
   }
   return result;
-}
-
-size_t Router::InsertBatch(std::span<const Edge> batch) {
-  size_t applied = 0;
-  graph_.SubmitAndWait(ShardedGraph::UpdateKind::kInsert,
-                       std::vector<Edge>(batch.begin(), batch.end()),
-                       &applied);
-  return applied;
-}
-
-size_t Router::DeleteBatch(std::span<const Edge> batch) {
-  size_t applied = 0;
-  graph_.SubmitAndWait(ShardedGraph::UpdateKind::kDelete,
-                       std::vector<Edge>(batch.begin(), batch.end()),
-                       &applied);
-  return applied;
-}
-
-void Router::SubmitInsert(std::vector<Edge> batch) {
-  graph_.SubmitInsert(std::move(batch));
-}
-
-void Router::SubmitDelete(std::vector<Edge> batch) {
-  graph_.SubmitDelete(std::move(batch));
 }
 
 }  // namespace lsg

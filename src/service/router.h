@@ -1,8 +1,8 @@
-// Router: the service layer's request front-end (DESIGN.md §13).
+// Router: the service layer's read front-end (DESIGN.md §13).
 //
-// Translates client operations into per-shard engine operations through the
-// ShardMap, always against the shards' pinned read views, so every request
-// class has the same contract:
+// Translates client reads into per-shard engine reads through the ShardMap,
+// always against the shards' pinned read views, so every request class has
+// the same contract:
 //
 //   - Point reads (HasEdge / Degree / Neighbors) touch exactly one shard —
 //     source-partitioning puts vertex v's whole adjacency on ShardOf(v) —
@@ -14,14 +14,14 @@
 //     as the next frontier (the PR 3 hybrid VertexSubset is the carrier).
 //     All views are pinned once per query, so a k-hop observes one batch
 //     boundary per shard even while ingest proceeds underneath it.
-//   - Update batches fan out to the per-shard ingest queues (blocking and
-//     fire-and-forget flavors), preserving per-(src,dst) order.
+//
+// Updates go to ShardedGraph directly (SubmitAndWait, SubmitInsert,
+// SubmitDelete, Flush), whose submits return the SubmitStatus a caller must
+// check: after Stop() they apply nothing and return kStopped.
 #ifndef SRC_SERVICE_ROUTER_H_
 #define SRC_SERVICE_ROUTER_H_
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "src/service/sharded_graph.h"
@@ -49,19 +49,6 @@ class Router {
     size_t frontier_peak = 0;  // largest frontier seen (SLO telemetry)
   };
   KHopResult KHop(VertexId source, uint32_t k) const;
-
-  // ---- Updates (fan out to the per-shard ingest pipelines) ----
-
-  // Blocking: returns the number of edges actually added / removed once
-  // every shard has applied its slice (and refreshed its view).
-  size_t InsertBatch(std::span<const Edge> batch);
-  size_t DeleteBatch(std::span<const Edge> batch);
-
-  // Fire-and-forget: enqueue and return (blocks only on backpressure).
-  void SubmitInsert(std::vector<Edge> batch);
-  void SubmitDelete(std::vector<Edge> batch);
-
-  void Flush() { graph_.Flush(); }
 
   ShardedGraph& graph() { return graph_; }
   const ShardedGraph& graph() const { return graph_; }

@@ -2,9 +2,9 @@
 //
 // The engine layer stores adjacency; the service layer decides which engine
 // instance owns which vertex. A ShardMap is that decision, pluggable so the
-// placement ladder from SNIPPETS.md snippet 3 (hash -> range -> HDRF/Fennel
-// style edge-cut placement) can be climbed without touching the router or
-// the sharded graph: every policy reduces to a total function
+// placement ladder from SNIPPETS.md snippet 3 (hash -> HDRF/Fennel style
+// edge-cut placement) can be climbed without touching the router or the
+// sharded graph: every policy reduces to a total function
 // ShardOf: VertexId -> [0, num_shards), frozen before serving starts.
 //
 // Adjacency is source-partitioned: shard s owns every edge (u, v) with
@@ -58,29 +58,6 @@ class HashShardMap final : public ShardMap {
 
  private:
   uint32_t num_shards_;
-};
-
-// Contiguous vertex ranges: shard i owns [i*ceil(n/S), ...). Keeps id
-// locality within a shard (good for range scans / partitioned loading) at
-// the cost of hub imbalance on skewed graphs.
-class RangeShardMap final : public ShardMap {
- public:
-  RangeShardMap(uint32_t num_shards, VertexId universe)
-      : num_shards_(num_shards),
-        per_shard_((universe + num_shards - 1) / num_shards) {}
-
-  uint32_t num_shards() const override { return num_shards_; }
-
-  uint32_t ShardOf(VertexId v) const override {
-    uint32_t s = per_shard_ == 0 ? 0 : v / per_shard_;
-    return s < num_shards_ ? s : num_shards_ - 1;
-  }
-
-  std::string name() const override { return "range"; }
-
- private:
-  uint32_t num_shards_;
-  VertexId per_shard_;
 };
 
 // Explicit per-vertex assignment — the drop-in point for edge-cut-aware

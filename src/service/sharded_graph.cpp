@@ -7,7 +7,6 @@
 #include "src/durability/checkpoint.h"
 #include "src/durability/wal.h"
 #include "src/gen/lsgbin.h"
-#include "src/gen/snapshot.h"
 #include "src/parallel/thread_pool.h"
 
 namespace lsg {

@@ -93,7 +93,8 @@ std::string WorkloadSpec::Validate() const {
 
 WorkloadResult RunWorkload(Router& router, const WorkloadSpec& spec) {
   WorkloadResult result;
-  const VertexId n = router.graph().num_vertices();
+  ShardedGraph& graph = router.graph();
+  const VertexId n = graph.num_vertices();
   if (n == 0) {
     return result;
   }
@@ -122,23 +123,28 @@ WorkloadResult RunWorkload(Router& router, const WorkloadSpec& spec) {
     for (uint64_t t = 0; t < updates_total && !Stopped(spec); ++t) {
       issued.fetch_add(1, std::memory_order_relaxed);
       const bool is_delete = (t % 4 == 3);
+      const ShardedGraph::UpdateKind kind =
+          is_delete ? ShardedGraph::UpdateKind::kDelete
+                    : ShardedGraph::UpdateKind::kInsert;
       // Deletes target the batch inserted three ops earlier (trials that
       // are == 3 mod 4 never generate inserts, so t - 3 always names one).
       std::vector<Edge> batch = BuildUpdateBatch(
           spec.updates, spec.update_batch_size, is_delete ? t - 3 : t);
       PaceTo(wall, rate, t, spec.stop);
-      result.edges_submitted += batch.size();
-      if (spec.keep_update_log) {
-        result.update_log.emplace_back(
-            is_delete ? ShardedGraph::UpdateKind::kDelete
-                      : ShardedGraph::UpdateKind::kInsert,
-            batch);
-      }
       Timer op;
-      const size_t applied = is_delete ? router.DeleteBatch(batch)
-                                       : router.InsertBatch(batch);
+      size_t applied = 0;
+      // A stopped service rejects this batch and every later one: stop
+      // issuing, and keep the rejected batch out of the counts and the log.
+      if (graph.SubmitAndWait(kind, batch, &applied) ==
+          SubmitStatus::kStopped) {
+        break;
+      }
       result.update.RecordSeconds(op.Seconds());
+      result.edges_submitted += batch.size();
       result.edges_applied += applied;
+      if (spec.keep_update_log) {
+        result.update_log.emplace_back(kind, std::move(batch));
+      }
     }
   });
 
@@ -196,7 +202,7 @@ WorkloadResult RunWorkload(Router& router, const WorkloadSpec& spec) {
   for (std::thread& t : readers) {
     t.join();
   }
-  router.Flush();
+  graph.Flush();
   result.wall_seconds = wall.Seconds();
   result.ops_issued = issued.load(std::memory_order_relaxed);
   for (ReaderStats& stats : reader_stats) {
@@ -212,8 +218,8 @@ std::string VerifyAgainstOracle(
     const std::vector<std::pair<ShardedGraph::UpdateKind, std::vector<Edge>>>&
         update_log,
     const Options& engine_options, uint64_t seed) {
-  router.Flush();
   ShardedGraph& graph = router.graph();
+  graph.Flush();
   const VertexId n = graph.num_vertices();
 
   LSGraph oracle(n, engine_options);

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/baselines/ctree_graph.h"
-#include "src/baselines/sortledton_graph.h"
 #include "src/baselines/terrace_graph.h"
 #include "src/core/engine_concept.h"
 #include "src/core/lsgraph.h"
@@ -22,7 +21,6 @@ static_assert(StreamingEngine<LSGraph>);
 static_assert(StreamingEngine<TerraceGraph>);
 static_assert(StreamingEngine<AspenGraph>);
 static_assert(StreamingEngine<PacTreeGraph>);
-static_assert(StreamingEngine<SortledtonGraph>);
 
 // std::set-backed oracle implementing the shared endpoint-validation policy
 // (count and skip out-of-range edges) so the engines can be compared against
@@ -258,22 +256,18 @@ class ShardedAdapter : public EngineAdapter {
   std::string_view name() const override { return name_; }
 
   bool InsertEdge(VertexId src, VertexId dst) override {
-    size_t applied = 0;
-    graph_->SubmitAndWait(ShardedGraph::UpdateKind::kInsert, {Edge{src, dst}},
-                          &applied);
-    return applied == 1;
+    return Submit(ShardedGraph::UpdateKind::kInsert, {Edge{src, dst}}) == 1;
   }
   bool DeleteEdge(VertexId src, VertexId dst) override {
-    size_t applied = 0;
-    graph_->SubmitAndWait(ShardedGraph::UpdateKind::kDelete, {Edge{src, dst}},
-                          &applied);
-    return applied == 1;
+    return Submit(ShardedGraph::UpdateKind::kDelete, {Edge{src, dst}}) == 1;
   }
   size_t InsertBatch(std::span<const Edge> batch) override {
-    return router_->InsertBatch(batch);
+    return Submit(ShardedGraph::UpdateKind::kInsert,
+                  std::vector<Edge>(batch.begin(), batch.end()));
   }
   size_t DeleteBatch(std::span<const Edge> batch) override {
-    return router_->DeleteBatch(batch);
+    return Submit(ShardedGraph::UpdateKind::kDelete,
+                  std::vector<Edge>(batch.begin(), batch.end()));
   }
   void BuildFromEdges(std::vector<Edge> edges) override {
     graph_->BuildFromEdges(std::move(edges));
@@ -321,6 +315,14 @@ class ShardedAdapter : public EngineAdapter {
   }
 
  private:
+  // The one update path: blocking, and the service is never stopped here,
+  // so every submit is accepted. Returns the edges added / removed.
+  size_t Submit(ShardedGraph::UpdateKind kind, std::vector<Edge> batch) {
+    size_t applied = 0;
+    graph_->SubmitAndWait(kind, std::move(batch), &applied);
+    return applied;
+  }
+
   std::string_view name_;
   std::unique_ptr<ShardedGraph> graph_;
   std::unique_ptr<Router> router_;
@@ -372,8 +374,6 @@ std::vector<std::unique_ptr<EngineAdapter>> MakeDefaultAdapters(
       "terrace", std::make_unique<TerraceGraph>(n, TerraceOptions{}, pool)));
   out.push_back(std::make_unique<GraphAdapter<AspenGraph>>(
       "aspen", std::make_unique<AspenGraph>(n, pool)));
-  out.push_back(std::make_unique<GraphAdapter<SortledtonGraph>>(
-      "sortledton", std::make_unique<SortledtonGraph>(n, pool)));
   // The sharded service stack, small compressed-leaf engines behind the
   // router: 3 shards (odd, so hash placement is never trivially aligned
   // with the id space) with the same shrunk CRIA thresholds as above.

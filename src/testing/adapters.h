@@ -1,9 +1,10 @@
 // Type-erased engine adapters for the differential fuzz harness.
 //
-// Every engine under test (LSGraph, Terrace, Aspen, PaC-tree, Sortledton)
-// plus a std::set-backed reference oracle is wrapped behind one virtual
-// interface so the runner can drive them in lockstep and compare results
-// op by op. Adapter 0 in a factory's output is always the oracle.
+// Every engine under test (LSGraph, Terrace, Aspen, PaC-tree) and the
+// sharded service stack, plus a std::set-backed reference oracle, is
+// wrapped behind one virtual interface so the runner can drive them in
+// lockstep and compare results op by op. Adapter 0 in a factory's output is
+// always the oracle.
 #ifndef SRC_TESTING_ADAPTERS_H_
 #define SRC_TESTING_ADAPTERS_H_
 
@@ -69,9 +70,10 @@ using AdapterFactory =
     std::function<std::vector<std::unique_ptr<EngineAdapter>>(VertexId n,
                                                               ThreadPool* pool)>;
 
-// Reference + all four engines (LSGraph, Terrace, Aspen, Sortledton; the
-// PaC-tree configuration shares CTreeGraph's code paths with Aspen, so the
-// default cohort runs one of the two).
+// Reference + the cohort: LSGraph with raw and with compressed leaves,
+// Terrace, Aspen, and the sharded service stack (the PaC-tree
+// configuration shares CTreeGraph's code paths with Aspen, so the default
+// cohort runs one of the two).
 std::vector<std::unique_ptr<EngineAdapter>> MakeDefaultAdapters(
     VertexId n, ThreadPool* pool);
 

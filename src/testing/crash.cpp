@@ -4,7 +4,7 @@
 #include <random>
 #include <set>
 
-#include "src/gen/snapshot.h"
+#include "src/gen/lsgbin.h"
 
 namespace lsg {
 namespace {

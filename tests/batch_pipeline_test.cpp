@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/baselines/ctree_graph.h"
-#include "src/baselines/sortledton_graph.h"
 #include "src/baselines/terrace_graph.h"
 #include "src/core/edgemap.h"
 #include "src/core/lsgraph.h"
@@ -239,10 +238,6 @@ template <>
 std::unique_ptr<PacTreeGraph> MakeEngine(VertexId n, ThreadPool* pool) {
   return std::make_unique<PacTreeGraph>(n, pool);
 }
-template <>
-std::unique_ptr<SortledtonGraph> MakeEngine(VertexId n, ThreadPool* pool) {
-  return std::make_unique<SortledtonGraph>(n, pool);
-}
 
 template <typename E>
 void ExpectMatchesReference(const E& g, const RefGraph& ref) {
@@ -277,7 +272,7 @@ template <typename E>
 class BatchEquivalenceTest : public ::testing::Test {};
 
 using EngineTypes = ::testing::Types<LSGraph, TerraceGraph, AspenGraph,
-                                     PacTreeGraph, SortledtonGraph>;
+                                     PacTreeGraph>;
 TYPED_TEST_SUITE(BatchEquivalenceTest, EngineTypes);
 
 TYPED_TEST(BatchEquivalenceTest, RandomizedAgainstSetReference) {

@@ -1,13 +1,12 @@
-// Compile-time API contract: every engine satisfies StreamingEngine, and the
-// static CSR satisfies GraphView. Failures here are build breaks by design.
+// Compile-time API contract: every engine satisfies StreamingEngine, and
+// GraphView rejects types the kernels cannot run on. Failures here are build
+// breaks by design.
 #include <gtest/gtest.h>
 
 #include "src/baselines/ctree_graph.h"
-#include "src/baselines/sortledton_graph.h"
 #include "src/baselines/terrace_graph.h"
 #include "src/core/engine_concept.h"
 #include "src/core/lsgraph.h"
-#include "src/gen/csr.h"
 
 namespace lsg {
 namespace {
@@ -17,15 +16,8 @@ static_assert(StreamingEngine<TerraceGraph>);
 static_assert(StreamingEngine<AspenGraph>);
 static_assert(StreamingEngine<PacTreeGraph>);
 static_assert(StreamingEngine<CTreeGraph>);
-static_assert(StreamingEngine<SortledtonGraph>);
 
 static_assert(GraphView<LSGraph>);
-static_assert(!StreamingEngine<Csr>);  // static snapshot: view only
-
-// Csr lacks HasEdge; it is a view in spirit but intentionally minimal. Keep
-// the distinction visible: the analytics kernels only require the members
-// they use, which Csr provides.
-static_assert(!GraphView<Csr>);
 static_assert(!GraphView<int>);
 
 // A view whose map_neighbors returns void cannot report an early exit, so

@@ -26,7 +26,6 @@
 #include "src/durability/checkpoint.h"
 #include "src/durability/wal.h"
 #include "src/gen/lsgbin.h"
-#include "src/gen/snapshot.h"
 #include "src/service/sharded_graph.h"
 #include "src/testing/crash.h"
 #include "src/util/graph_types.h"

@@ -17,7 +17,6 @@
 #include "src/analytics/bfs.h"
 #include "src/analytics/cc.h"
 #include "src/baselines/ctree_graph.h"
-#include "src/baselines/sortledton_graph.h"
 #include "src/baselines/terrace_graph.h"
 #include "src/core/edgemap.h"
 #include "src/core/lsgraph.h"
@@ -189,16 +188,11 @@ template <>
 std::unique_ptr<AspenGraph> MakeEngine<AspenGraph>(VertexId n) {
   return std::make_unique<AspenGraph>(n);
 }
-template <>
-std::unique_ptr<SortledtonGraph> MakeEngine<SortledtonGraph>(VertexId n) {
-  return std::make_unique<SortledtonGraph>(n);
-}
 
 template <typename E>
 class FrontierEquivalenceTest : public ::testing::Test {};
 
-using EngineTypes =
-    ::testing::Types<LSGraph, TerraceGraph, AspenGraph, SortledtonGraph>;
+using EngineTypes = ::testing::Types<LSGraph, TerraceGraph, AspenGraph>;
 TYPED_TEST_SUITE(FrontierEquivalenceTest, EngineTypes);
 
 TYPED_TEST(FrontierEquivalenceTest, AutoAndPullBfsMatchPushAcrossThreads) {

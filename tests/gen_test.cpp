@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "src/gen/csr.h"
 #include "src/gen/datasets.h"
 #include "src/gen/edge_io.h"
 #include "src/gen/rmat.h"
@@ -99,21 +98,6 @@ TEST(TemporalTest, SplitTakesTenPercentSuffix) {
   EXPECT_EQ(split.stream.size(), 100u);
 }
 
-TEST(CsrTest, NeighborsMatchInput) {
-  std::vector<Edge> edges = {{0, 1}, {0, 3}, {1, 0}, {3, 2}, {0, 2}, {0, 1}};
-  Csr csr = Csr::FromEdges(4, edges);
-  EXPECT_EQ(csr.num_edges(), 5u);  // duplicate removed
-  std::vector<VertexId> n0(csr.neighbors(0).begin(), csr.neighbors(0).end());
-  EXPECT_EQ(n0, (std::vector<VertexId>{1, 2, 3}));
-  EXPECT_EQ(csr.degree(2), 0u);
-  size_t visited = 0;
-  csr.map_neighbors(3, [&visited](VertexId u) {
-    EXPECT_EQ(u, 2u);
-    ++visited;
-  });
-  EXPECT_EQ(visited, 1u);
-}
-
 TEST(EdgeIoTest, TextRoundtrip) {
   std::vector<Edge> edges = {{1, 2}, {3, 4}, {0, 0}};
   std::string path = ::testing::TempDir() + "/edges.txt";
@@ -132,20 +116,8 @@ TEST(EdgeIoTest, TextSkipsComments) {
   std::remove(path.c_str());
 }
 
-TEST(EdgeIoTest, BinaryRoundtrip) {
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v < 1000; ++v) {
-    edges.push_back(Edge{v, v * 7});
-  }
-  std::string path = ::testing::TempDir() + "/edges.bin";
-  WriteEdgesBinary(path, edges);
-  EXPECT_EQ(ReadEdgesBinary(path), edges);
-  std::remove(path.c_str());
-}
-
 TEST(EdgeIoTest, MissingFileThrows) {
   EXPECT_THROW(ReadEdgesText("/nonexistent/nope.txt"), std::runtime_error);
-  EXPECT_THROW(ReadEdgesBinary("/nonexistent/nope.bin"), std::runtime_error);
 }
 
 }  // namespace

@@ -9,7 +9,6 @@
 #include "src/analytics/kcore.h"
 #include "src/analytics/mis.h"
 #include "src/baselines/ctree_graph.h"
-#include "src/baselines/sortledton_graph.h"
 #include "src/core/lsgraph.h"
 #include "src/gen/datasets.h"
 #include "tests/reference.h"
@@ -72,7 +71,7 @@ Workload& SharedWorkload() {
 template <typename E>
 class ExtraKernelTest : public ::testing::Test {};
 
-using EngineTypes = ::testing::Types<LSGraph, AspenGraph, SortledtonGraph>;
+using EngineTypes = ::testing::Types<LSGraph, AspenGraph>;
 TYPED_TEST_SUITE(ExtraKernelTest, EngineTypes);
 
 TYPED_TEST(ExtraKernelTest, KCoreMatchesReference) {

@@ -45,15 +45,6 @@ TEST(ShardMapTest, HashIsDeterministicTotalAndBalanced) {
   }
 }
 
-TEST(ShardMapTest, RangeCoversUniverse) {
-  RangeShardMap map(3, 10);  // ceil(10/3) = 4: [0,4) [4,8) [8,10)
-  EXPECT_EQ(map.ShardOf(0), 0u);
-  EXPECT_EQ(map.ShardOf(3), 0u);
-  EXPECT_EQ(map.ShardOf(4), 1u);
-  EXPECT_EQ(map.ShardOf(9), 2u);
-  EXPECT_EQ(map.ShardOf(10), 2u);  // beyond universe clamps to last
-}
-
 TEST(ShardMapTest, TableFallsBackToHashBeyondTable) {
   TableShardMap map(4, {1, 3, 0});
   EXPECT_EQ(map.ShardOf(0), 1u);
@@ -361,11 +352,15 @@ TEST(ServiceAdminTest, AddVerticesGrowsEveryShard) {
   EXPECT_EQ(graph.AddVertices(4), 8u);
   EXPECT_EQ(graph.num_vertices(), 12u);
   // New ids are writable and readable immediately.
-  EXPECT_EQ(router.InsertBatch(std::vector<Edge>{{10, 11}, {11, 10}}), 2u);
+  size_t applied = 0;
+  EXPECT_EQ(graph.SubmitAndWait(ShardedGraph::UpdateKind::kInsert,
+                                {{10, 11}, {11, 10}}, &applied),
+            SubmitStatus::kOk);
+  EXPECT_EQ(applied, 2u);
   EXPECT_TRUE(router.HasEdge(10, 11));
   EXPECT_EQ(graph.oob_rejected(), 0u);
   // Beyond the grown universe still rejects.
-  router.InsertBatch(std::vector<Edge>{{50, 51}});
+  graph.SubmitAndWait(ShardedGraph::UpdateKind::kInsert, {{50, 51}});
   EXPECT_GT(graph.oob_rejected(), 0u);
   EXPECT_TRUE(graph.CheckInvariants());
 }
@@ -399,6 +394,34 @@ TEST(ServiceAdminTest, StopRejectsNewSubmitsAndDrainsAccepted) {
   EXPECT_TRUE(graph.CheckInvariants());
 }
 
+TEST(ServiceAdminTest, WorkloadWriterStopsOnStoppedService) {
+  // RunWorkload's writer reads the SubmitStatus: a batch the stopped
+  // service rejects is neither counted nor logged (the log is
+  // VerifyAgainstOracle's replay input, so it holds only applied batches),
+  // and the writer issues nothing after it.
+  const DatasetSpec spec = TestDataset();
+  ServiceOptions sopts;
+  sopts.num_shards = 2;
+  ShardedGraph graph(VertexId{1} << spec.scale,
+                     std::make_unique<HashShardMap>(2), sopts);
+  Router router(graph);
+  graph.Stop();
+
+  WorkloadSpec wl;
+  wl.ops = 8;
+  wl.point_read_frac = 0.0;
+  wl.update_frac = 1.0;
+  wl.update_batch_size = 16;
+  wl.updates = spec;
+  ASSERT_EQ(wl.Validate(), "");
+  WorkloadResult res = RunWorkload(router, wl);
+  EXPECT_EQ(res.ops_issued, 1u);
+  EXPECT_EQ(res.edges_submitted, 0u);
+  EXPECT_EQ(res.update.count(), 0u);
+  EXPECT_TRUE(res.update_log.empty());
+  EXPECT_EQ(graph.num_edges(), 0u);
+}
+
 TEST(ServiceAdminTest, DestructionDrainsPendingAsyncSubmits) {
   // Teardown with work still queued: the destructor must flush, join the
   // drainers, and release pins in order — no hang, no leak, no crash.
@@ -421,12 +444,11 @@ TEST(ServiceAdminTest, AggregateStatsSumsShards) {
   ServiceOptions sopts;
   sopts.num_shards = 4;
   ShardedGraph graph(64, std::make_unique<HashShardMap>(4), sopts);
-  Router router(graph);
   std::vector<Edge> batch;
   for (VertexId v = 0; v < 64; ++v) {
     batch.push_back({v, static_cast<VertexId>((v + 1) % 64)});
   }
-  router.InsertBatch(batch);
+  graph.SubmitAndWait(ShardedGraph::UpdateKind::kInsert, batch);
   CoreStats stats;
   graph.AggregateStats(&stats);
   // Every shard holds exactly one pinned read view, so the aggregated

@@ -5,8 +5,8 @@
 
 #include "src/baselines/ctree_graph.h"
 #include "src/core/lsgraph.h"
+#include "src/gen/lsgbin.h"
 #include "src/gen/rmat.h"
-#include "src/gen/snapshot.h"
 
 namespace lsg {
 namespace {
@@ -20,36 +20,24 @@ TEST(SnapshotTest, DumpEdgesIsSortedAndComplete) {
   EXPECT_EQ(edges, (std::vector<Edge>{{0, 5}, {3, 0}, {3, 1}}));
 }
 
-TEST(SnapshotTest, FreezeToCsrPreservesNeighbors) {
-  RmatGenerator gen({8, 0.5, 0.1, 0.1}, 44);
-  LSGraph g(256);
-  g.BuildFromEdges(gen.Generate(0, 5000));
-  Csr csr = FreezeToCsr(g);
-  EXPECT_EQ(csr.num_edges(), g.num_edges());
-  for (VertexId v = 0; v < 256; ++v) {
-    std::vector<VertexId> from_engine;
-    g.map_neighbors(v, [&](VertexId u) { from_engine.push_back(u); });
-    std::vector<VertexId> from_csr(csr.neighbors(v).begin(),
-                                   csr.neighbors(v).end());
-    ASSERT_EQ(from_engine, from_csr) << "vertex " << v;
-  }
-}
-
 TEST(SnapshotTest, SaveLoadRoundtripsAcrossEngineTypes) {
   RmatGenerator gen({8, 0.5, 0.1, 0.1}, 45);
   LSGraph original(256);
   original.BuildFromEdges(gen.Generate(0, 4000));
-  std::string path = ::testing::TempDir() + "/snap.bin";
-  SaveSnapshot(original, path);
+  std::string path = ::testing::TempDir() + "/snap.lsgbin";
+  WriteLsgbin(path, original.num_vertices(), DumpEdges(original));
 
-  // Reload into a different engine type: snapshots are engine-agnostic.
-  std::unique_ptr<AspenGraph> reloaded = LoadSnapshot<AspenGraph>(path, 256);
-  EXPECT_EQ(reloaded->num_edges(), original.num_edges());
+  // Reload into a different engine type: .lsgbin is engine-agnostic.
+  LoadedGraph loaded = LoadLsgbin(path);
+  ASSERT_EQ(loaded.num_vertices, 256u);
+  AspenGraph reloaded(loaded.num_vertices);
+  reloaded.BuildFromEdges(std::move(loaded.edges));
+  EXPECT_EQ(reloaded.num_edges(), original.num_edges());
   for (VertexId v = 0; v < 256; ++v) {
     std::vector<VertexId> a;
     std::vector<VertexId> b;
     original.map_neighbors(v, [&](VertexId u) { a.push_back(u); });
-    reloaded->map_neighbors(v, [&](VertexId u) { b.push_back(u); });
+    reloaded.map_neighbors(v, [&](VertexId u) { b.push_back(u); });
     ASSERT_EQ(a, b) << "vertex " << v;
   }
   std::remove(path.c_str());

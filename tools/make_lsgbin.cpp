@@ -1,11 +1,11 @@
 // Edge-list -> .lsgbin converter.
 //
-// Reads a SNAP-style text edge list ("src dst" per line, # comments), the
-// repo's packed binary edge dump (edge_io.h), or synthesizes an rMat
-// dataset, then writes the parallel-loadable .lsgbin container (lsgbin.h).
+// Reads a SNAP-style text edge list ("src dst" per line, # comments) or
+// synthesizes an rMat dataset, then writes the parallel-loadable .lsgbin
+// container (lsgbin.h).
 //
-//   make_lsgbin --in=graph.txt --out=graph.lsgbin [--format=text|binary]
-//               [--num-vertices=N] [--symmetrize] [--ranges=R]
+//   make_lsgbin --in=graph.txt --out=graph.lsgbin [--num-vertices=N]
+//               [--symmetrize] [--ranges=R]
 //   make_lsgbin --rmat=20,8,500 --out=rm20.lsgbin [--ranges=R]
 //
 // Input edges are sorted and deduplicated here; --num-vertices defaults to
@@ -40,8 +40,8 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 
 int Usage() {
   std::fprintf(stderr,
-               "usage: make_lsgbin --in=PATH --out=PATH [--format=text|binary]\n"
-               "                   [--num-vertices=N] [--symmetrize] [--ranges=R]\n"
+               "usage: make_lsgbin --in=PATH --out=PATH [--num-vertices=N]\n"
+               "                   [--symmetrize] [--ranges=R]\n"
                "       make_lsgbin --rmat=SCALE,AVG_DEGREE,SEED --out=PATH "
                "[--ranges=R]\n");
   return 2;
@@ -52,7 +52,6 @@ int Usage() {
 int main(int argc, char** argv) {
   std::string in;
   std::string out;
-  std::string format = "text";
   std::string rmat;
   std::string value;
   uint64_t num_vertices = 0;
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
   bool symmetrize = false;
   for (int i = 1; i < argc; ++i) {
     if (ParseFlag(argv[i], "--in", &in) || ParseFlag(argv[i], "--out", &out) ||
-        ParseFlag(argv[i], "--format", &format) ||
         ParseFlag(argv[i], "--rmat", &rmat)) {
       continue;
     }
@@ -95,13 +93,8 @@ int main(int argc, char** argv) {
       lsg::DatasetSpec spec{"RMAT", scale, avg_degree, seed};
       edges = lsg::BuildDatasetEdges(spec);  // already symmetrized + deduped
       num_vertices = uint64_t{1} << scale;
-    } else if (format == "text") {
-      edges = lsg::ReadEdgesText(in);
-    } else if (format == "binary") {
-      edges = lsg::ReadEdgesBinary(in);
     } else {
-      std::fprintf(stderr, "unknown --format: %s\n", format.c_str());
-      return Usage();
+      edges = lsg::ReadEdgesText(in);
     }
     double read_seconds = timer.Seconds();
 
