@@ -95,7 +95,11 @@ DatasetSpec CompressedSpec() {
   return {};
 }
 
-void RunCompressedStudy(ThreadPool& pool, BenchReporter& reporter) {
+// Returns false when the compressed engine's bytes_resident or
+// neighbors_decoded counter reads 0: a CRIA engine that has just run BFS and
+// PageRank holds resident bytes and has decoded neighbors, so a 0 means the
+// rows no longer come from the engine's counters.
+bool RunCompressedStudy(ThreadPool& pool, BenchReporter& reporter) {
   DatasetSpec spec = CompressedSpec();
   struct ModeResult {
     size_t adjacency_bytes = 0;
@@ -103,13 +107,11 @@ void RunCompressedStudy(ThreadPool& pool, BenchReporter& reporter) {
     double bfs_seconds = 0.0;
     double pagerank_seconds = 0.0;
   };
-  CoreStats stats;
+  uint64_t bytes_resident = 0;
+  uint64_t neighbors_decoded = 0;
   auto run = [&](bool compressed) {
     Options options;
     options.compress_leaves = compressed;
-    if (compressed) {
-      options.stats = &stats;
-    }
     auto g = MakeLsGraph(spec, &pool, options);
     ModeResult r;
     r.adjacency_bytes = g->adjacency_bytes();
@@ -120,6 +122,12 @@ void RunCompressedStudy(ThreadPool& pool, BenchReporter& reporter) {
     timer.Reset();
     PageRank(*g, pool);
     r.pagerank_seconds = timer.Seconds();
+    if (compressed) {
+      // The engine owns its counters: read them before it is destroyed.
+      reporter.AddCoreStats(spec.name, "LSGraph-compressed", g->stats());
+      bytes_resident = g->stats().bytes_resident.load();
+      neighbors_decoded = g->stats().neighbors_decoded.load();
+    }
     return r;
   };
   ModeResult raw = run(false);
@@ -158,7 +166,15 @@ void RunCompressedStudy(ThreadPool& pool, BenchReporter& reporter) {
   add("LSGraph-compressed", "bfs_seconds", comp.bfs_seconds, "s");
   add("LSGraph", "pagerank_seconds", raw.pagerank_seconds, "s");
   add("LSGraph-compressed", "pagerank_seconds", comp.pagerank_seconds, "s");
-  reporter.AddCoreStats(spec.name, "LSGraph-compressed", stats);
+  if (bytes_resident == 0 || neighbors_decoded == 0) {
+    std::fprintf(stderr,
+                 "bench_memory: LSGraph-compressed counters read 0 "
+                 "(bytes_resident %llu, neighbors_decoded %llu)\n",
+                 static_cast<unsigned long long>(bytes_resident),
+                 static_cast<unsigned long long>(neighbors_decoded));
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -175,6 +191,6 @@ int main() {
     RunDataset(spec, pool, reporter);
   }
   std::printf("\ncompressed-leaf study (adjacency tails, raw vs CRIA):\n");
-  RunCompressedStudy(pool, reporter);
-  return reporter.Write() ? 0 : 1;
+  const bool counters_ok = RunCompressedStudy(pool, reporter);
+  return reporter.Write() && counters_ok ? 0 : 1;
 }

@@ -15,7 +15,6 @@
 //   pr                     top-5 PageRank vertices
 //   cc                     number of connected components
 //   tc                     triangle count
-//   kcore                  maximum coreness
 //   stats                  vertices / edges / memory
 //   save <file>            write the graph as .lsgbin (make_lsgbin's format)
 //   quit
@@ -28,7 +27,6 @@
 
 #include "src/analytics/bfs.h"
 #include "src/analytics/cc.h"
-#include "src/analytics/kcore.h"
 #include "src/analytics/pagerank.h"
 #include "src/analytics/tc.h"
 #include "src/core/lsgraph.h"
@@ -44,7 +42,7 @@ using namespace lsg;
 void Help() {
   std::printf(
       "commands: load <file> | gen <scale> <edges> | add s d | del s d | "
-      "has s d | deg v | nbrs v | bfs s | pr | cc | tc | kcore | stats | "
+      "has s d | deg v | nbrs v | bfs s | pr | cc | tc | stats | "
       "save <file> | quit\n");
 }
 
@@ -96,6 +94,12 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(cmd, "gen") == 0 &&
                std::sscanf(line, "%*s %lu %lu", &a, &b) == 2) {
+      // The bound make_lsgbin --rmat uses; it also keeps the shift below
+      // defined.
+      if (a < 1 || a > 30) {
+        std::printf("scale %lu out of range [1, 30]\n", a);
+        continue;
+      }
       int scale = static_cast<int>(a);
       if ((VertexId{1} << scale) > n) {
         std::printf("scale %d exceeds %u vertices\n", scale, n);
@@ -181,12 +185,6 @@ int main(int argc, char** argv) {
       std::printf("%llu triangles\n",
                   static_cast<unsigned long long>(
                       TriangleCount(graph, pool).triangles));
-    } else if (std::strcmp(cmd, "kcore") == 0) {
-      EdgeMapOptions push_only;
-      push_only.direction = Direction::kPush;
-      std::vector<uint32_t> core = KCoreDecomposition(graph, pool, push_only);
-      std::printf("max coreness %u\n",
-                  *std::max_element(core.begin(), core.end()));
     } else if (std::strcmp(cmd, "stats") == 0) {
       std::printf("%u vertices, %llu edges, %.2f MB (%.2f%% index)\n", n,
                   static_cast<unsigned long long>(graph.num_edges()),

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
 
     uint64_t touched_before = maintained.query().stats().vertices_touched;
     Timer timer;
-    graph.InsertBatch(batch);  // maintenance runs inline (kSync) before return
+    graph.InsertBatch(batch);  // maintenance runs inline before return
     double inc_ms = timer.Millis();
     size_t touched = maintained.query().stats().vertices_touched -
                      touched_before;

@@ -45,13 +45,6 @@ struct IncrementalOptions {
   // stays push-only incremental for insertions and falls back to the full
   // kernel on any deletion that could detach part of the BFS tree.
   bool symmetric = true;
-
-  // PageRank maintenance knobs. A vertex whose recomputed rank moves by
-  // less than `tolerance` stops propagating; `max_sweeps` bounds the dirty
-  // sweeps per batch before giving up and falling back.
-  double damping = 0.85;
-  double tolerance = 1e-13;
-  int max_sweeps = 256;
 };
 
 struct IncrementalStats {

@@ -1,17 +1,9 @@
 // Binds an incremental query to an engine's batch boundaries
 // (DESIGN.md §15).
 //
-// kSync: maintenance runs inline on the mutating thread, against the live
-// graph, before the mutating call returns — results are always fresh, and
-// ingest pays the maintenance cost.
-//
-// kAsync: the observer callback only pins a Snapshot() (it runs on the
-// mutating thread right after the writer gate releases, so the pin is
-// exactly the post-batch version — PR 6's snapshot isolation) and enqueues
-// the delta; a dedicated maintenance thread applies it against that
-// immutable snapshot. Ingest pays one snapshot acquire per batch and never
-// blocks on maintenance. Results trail the live graph by the queue depth;
-// Drain() waits until every enqueued batch has been applied.
+// Maintenance runs inline on the mutating thread, against the live graph,
+// before the mutating call returns: results are always fresh, and ingest
+// pays the maintenance cost.
 //
 // The engine invokes observers on the mutating thread with the single
 // writer discipline documented in batch_observer.h, so deltas arrive here
@@ -19,14 +11,8 @@
 #ifndef SRC_ANALYTICS_INCREMENTAL_MAINTAINED_H_
 #define SRC_ANALYTICS_INCREMENTAL_MAINTAINED_H_
 
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "src/core/batch_observer.h"
 #include "src/core/lsgraph.h"
@@ -34,141 +20,37 @@
 
 namespace lsg {
 
-enum class MaintainMode {
-  kSync,   // maintain inline on the mutating thread (live graph)
-  kAsync,  // maintain on a background thread (pinned snapshots)
-};
-
 template <typename Query>
 class MaintainedQuery : public BatchObserver {
  public:
-  MaintainedQuery(LSGraph& graph, Query query,
-                  MaintainMode mode = MaintainMode::kSync)
-      : graph_(&graph), query_(std::move(query)), mode_(mode) {
-    if (mode_ == MaintainMode::kSync) {
-      query_.Init(*graph_);
-    } else {
-      worker_ = std::thread([this] { WorkerLoop(); });
-      Enqueue(Task{Task::kInit, graph_->Snapshot(), {}});
-    }
+  MaintainedQuery(LSGraph& graph, Query query)
+      : graph_(&graph), query_(std::move(query)) {
+    query_.Init(*graph_);
     graph_->AddBatchObserver(this);
   }
 
-  ~MaintainedQuery() override {
-    graph_->RemoveBatchObserver(this);
-    if (mode_ == MaintainMode::kAsync) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        stop_ = true;
-      }
-      cv_.notify_all();
-      worker_.join();
-      // Any tasks left after stop still hold snapshot pins; clear them
-      // before the engine can be destroyed.
-      queue_.clear();
-    }
-  }
+  ~MaintainedQuery() override { graph_->RemoveBatchObserver(this); }
 
   MaintainedQuery(const MaintainedQuery&) = delete;
   MaintainedQuery& operator=(const MaintainedQuery&) = delete;
 
-  // The bound query. In kAsync mode, call Drain() first — the maintenance
-  // thread owns the query's state while batches are in flight.
   Query& query() { return query_; }
   const Query& query() const { return query_; }
 
-  // Blocks until every delta enqueued so far has been applied (no-op in
-  // kSync mode, where maintenance completes before the mutating call
-  // returns).
-  void Drain() {
-    if (mode_ == MaintainMode::kSync) {
-      return;
-    }
-    std::unique_lock<std::mutex> lock(mu_);
-    drained_.wait(lock, [this] { return queue_.empty() && !busy_; });
-  }
-
   // BatchObserver: runs on the mutating thread after the gate releases.
   void OnBatchApplied(bool is_delete, std::span<const Edge> edges) override {
-    if (mode_ == MaintainMode::kSync) {
-      std::span<const Edge> none;
-      query_.Apply(*graph_, is_delete ? none : edges,
-                   is_delete ? edges : none);
-      return;
-    }
-    Enqueue(Task{is_delete ? Task::kDelete : Task::kInsert, graph_->Snapshot(),
-                 std::vector<Edge>(edges.begin(), edges.end())});
+    std::span<const Edge> none;
+    query_.Apply(*graph_, is_delete ? none : edges, is_delete ? edges : none);
   }
 
   void OnGraphReplaced() override {
-    if (mode_ == MaintainMode::kSync) {
-      query_.Invalidate();
-      query_.Init(*graph_);
-      return;
-    }
-    Enqueue(Task{Task::kInit, graph_->Snapshot(), {}});
+    query_.Invalidate();
+    query_.Init(*graph_);
   }
 
  private:
-  struct Task {
-    enum Kind { kInsert, kDelete, kInit } kind;
-    std::shared_ptr<const GraphSnapshot> snap;
-    std::vector<Edge> edges;
-  };
-
-  void Enqueue(Task task) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      queue_.push_back(std::move(task));
-    }
-    cv_.notify_one();
-  }
-
-  void WorkerLoop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (stop_) {
-        return;
-      }
-      Task task = std::move(queue_.front());
-      queue_.pop_front();
-      busy_ = true;
-      lock.unlock();
-      std::span<const Edge> edges(task.edges);
-      std::span<const Edge> none;
-      switch (task.kind) {
-        case Task::kInsert:
-          query_.Apply(*task.snap, edges, none);
-          break;
-        case Task::kDelete:
-          query_.Apply(*task.snap, none, edges);
-          break;
-        case Task::kInit:
-          query_.Invalidate();
-          query_.Init(*task.snap);
-          break;
-      }
-      task.snap.reset();  // release the pin before signalling drained
-      lock.lock();
-      busy_ = false;
-      if (queue_.empty()) {
-        drained_.notify_all();
-      }
-    }
-  }
-
   LSGraph* graph_;
   Query query_;
-  MaintainMode mode_;
-
-  std::thread worker_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable drained_;
-  std::deque<Task> queue_;
-  bool busy_ = false;
-  bool stop_ = false;
 };
 
 }  // namespace lsg

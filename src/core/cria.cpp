@@ -558,42 +558,6 @@ bool Cria::Delete(VertexId id) {
   return true;
 }
 
-size_t Cria::MergeInsert(std::span<const VertexId> sorted_ids) {
-  if (sorted_ids.empty()) {
-    return 0;
-  }
-  std::vector<VertexId> cur = Decode();
-  std::vector<VertexId> merged;
-  merged.reserve(cur.size() + sorted_ids.size());
-  std::set_union(cur.begin(), cur.end(), sorted_ids.begin(), sorted_ids.end(),
-                 std::back_inserter(merged));
-  size_t added = merged.size() - cur.size();
-  if (added != 0) {
-    BulkLoad(merged);
-    ++stats_.rebuilds;
-    NoteRecompressed();
-  }
-  return added;
-}
-
-size_t Cria::MergeDelete(std::span<const VertexId> sorted_ids) {
-  if (sorted_ids.empty() || size_ == 0) {
-    return 0;
-  }
-  std::vector<VertexId> cur = Decode();
-  std::vector<VertexId> rest;
-  rest.reserve(cur.size());
-  std::set_difference(cur.begin(), cur.end(), sorted_ids.begin(),
-                      sorted_ids.end(), std::back_inserter(rest));
-  size_t removed = cur.size() - rest.size();
-  if (removed != 0) {
-    BulkLoad(rest);
-    ++stats_.rebuilds;
-    NoteRecompressed();
-  }
-  return removed;
-}
-
 void Cria::MaybeContract() {
   // Hysteresis at twice the slack target (plus one block) so a rebuild is
   // never immediately undone. The repack estimate charges each current

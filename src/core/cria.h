@@ -96,13 +96,6 @@ class Cria {
   bool Delete(VertexId id);
   bool Contains(VertexId id) const;
 
-  // Bulk merge of a sorted unique id run into the set (the grouped-batch
-  // recompress path): one decode, one set-union, one re-encode. Returns the
-  // number of ids actually added.
-  size_t MergeInsert(std::span<const VertexId> sorted_ids);
-  // Bulk subtraction; returns the number of ids actually removed.
-  size_t MergeDelete(std::span<const VertexId> sorted_ids);
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t num_blocks() const { return num_blocks_; }

@@ -20,7 +20,7 @@ thread_local std::vector<std::vector<VertexId>> scratch_pool;  // NOLINT
 LSGraph::LSGraph(VertexId num_vertices, Options options, ThreadPool* pool)
     : options_(options),
       blocks_(num_vertices),
-      pool_(pool != nullptr ? pool : options.pool),
+      pool_(pool),
       vseq_(num_vertices),
       chains_(num_vertices) {
   // Reject unusable tunables at the door instead of deep inside a

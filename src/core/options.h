@@ -12,8 +12,6 @@
 
 namespace lsg {
 
-class ThreadPool;
-
 // Engine-wide update counters, shared by all structures of one graph.
 // Atomic because batch updates run one vertex per thread.
 //
@@ -168,16 +166,11 @@ struct Options {
   // delta-varint payload.
   uint32_t cria_block_bytes = 2 * kCacheLineBytes;
 
-  // Optional engine-wide counters; may be null.
+  // The counters every structure of one engine reports to. An engine
+  // overwrites this field with its own counters, so callers read them
+  // through the engine's stats(); a structure built on its own (a bare
+  // Ria, Cria or HiNode) reports here, or nowhere when null.
   CoreStats* stats = nullptr;
-
-  // Worker pool the engine runs its parallel phases on. Null means the
-  // process-wide ThreadPool::Global(). Injecting the pool here (rather than
-  // only via the engine constructor) lets factories that see just an
-  // Options — and the service layer, which stripes one thread budget across
-  // many engine instances — pick the pool without a constructor change per
-  // engine. The constructor's explicit pool argument, when non-null, wins.
-  ThreadPool* pool = nullptr;
 
   // Returns "" when the configuration is usable, else a one-line
   // description of the first violation. Engines call this on construction

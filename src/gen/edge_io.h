@@ -3,12 +3,17 @@
 #ifndef SRC_GEN_EDGE_IO_H_
 #define SRC_GEN_EDGE_IO_H_
 
+#include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/util/graph_types.h"
+#include "src/util/parse.h"
 
 namespace lsg {
 
@@ -24,24 +29,41 @@ inline void WriteEdgesText(const std::string& path,
   std::fclose(f);
 }
 
+// Each line that is neither blank nor a comment must start with two ids
+// in [0, kInvalidVertex); further columns (weights, timestamps) are
+// ignored. Anything else throws, naming the path and line: a wrapped or
+// dropped id would silently build a different graph.
 inline std::vector<Edge> ReadEdgesText(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) {
+  std::ifstream in(path);
+  if (!in) {
     throw std::runtime_error("cannot open for read: " + path);
   }
+  constexpr std::string_view kSpace = " \t\r";
   std::vector<Edge> edges;
-  char line[256];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (line[0] == '#' || line[0] == '%' || line[0] == '\n') {
+  std::string line;
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
+    std::string_view rest = line;
+    auto next_token = [&rest, kSpace]() {
+      size_t begin = std::min(rest.find_first_not_of(kSpace), rest.size());
+      size_t end = std::min(rest.find_first_of(kSpace, begin), rest.size());
+      std::string_view token = rest.substr(begin, end - begin);
+      rest.remove_prefix(end);
+      return token;
+    };
+    std::string_view first = next_token();
+    if (first.empty() || first[0] == '#' || first[0] == '%') {
       continue;
     }
-    unsigned long src = 0;
-    unsigned long dst = 0;
-    if (std::sscanf(line, "%lu %lu", &src, &dst) == 2) {
-      edges.push_back(Edge{static_cast<VertexId>(src), static_cast<VertexId>(dst)});
+    std::optional<VertexId> src = ParseNumber<VertexId>(first);
+    std::optional<VertexId> dst = ParseNumber<VertexId>(next_token());
+    if (!src || !dst || *src == kInvalidVertex || *dst == kInvalidVertex) {
+      throw std::runtime_error(
+          path + ":" + std::to_string(line_no) +
+          ": expected \"src dst\" with ids below " +
+          std::to_string(kInvalidVertex));
     }
+    edges.push_back(Edge{*src, *dst});
   }
-  std::fclose(f);
   return edges;
 }
 

@@ -47,10 +47,8 @@ ShardedGraph::ShardedGraph(VertexId num_vertices,
   for (uint32_t s = 0; s < options_.num_shards; ++s) {
     auto shard = std::make_unique<Shard>();
     shard->pool = std::make_unique<ThreadPool>(per_shard);
-    Options engine_options = options_.engine;
-    engine_options.pool = shard->pool.get();
-    shard->engine =
-        std::make_unique<LSGraph>(num_vertices, engine_options, nullptr);
+    shard->engine = std::make_unique<LSGraph>(num_vertices, options_.engine,
+                                              shard->pool.get());
     if (options_.durability.enabled()) {
       shard->dur_dir =
           options_.durability.dir + "/shard-" + std::to_string(s);

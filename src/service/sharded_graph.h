@@ -83,9 +83,8 @@ struct ServiceOptions {
   // NOT run on this pool — they get their stripe (see above).
   ThreadPool* pool = nullptr;
 
-  // Per-shard engine configuration. stats/pool fields are managed by the
-  // service (each shard gets its striped pool; counters stay per-engine and
-  // are summed by AggregateStats).
+  // Per-shard engine configuration. Each shard's engine runs on its striped
+  // pool and keeps its own counters, which AggregateStats sums.
   Options engine;
 
   // Durability tier (DESIGN.md §14). durability.dir non-empty turns on one

@@ -183,5 +183,64 @@ TEST(AnalyticsEdgeCases, BcOnPathGraph) {
   EXPECT_DOUBLE_EQ(bc[2], 0.0);
 }
 
+TEST(DirectionOptimizedBfsTest, AutoDirectionLevelsMatchPushOnlyBfs) {
+  DatasetSpec spec{"DO", 10, 7.0, 5};
+  std::vector<Edge> edges = BuildDatasetEdges(spec);
+  LSGraph g(1024);
+  g.BuildFromEdges(edges);
+  ThreadPool pool(4);
+  VertexId source = edges.front().src;
+  BfsResult push = BfsPush(g, source, pool);
+  BfsResult diropt = Bfs(g, source, pool);  // default options: kAuto
+  EXPECT_EQ(push.level, diropt.level);
+  EXPECT_EQ(push.reached, diropt.reached);
+  // Parents may differ but must be valid: one level up and a real edge.
+  for (VertexId v = 0; v < 1024; ++v) {
+    if (diropt.parent[v] == kInvalidVertex || v == source) {
+      continue;
+    }
+    EXPECT_TRUE(g.HasEdge(diropt.parent[v], v)) << v;
+    EXPECT_EQ(diropt.level[diropt.parent[v]] + 1, diropt.level[v]) << v;
+  }
+}
+
+TEST(DirectionOptimizedBfsTest, ForcedDenseModeStillCorrect) {
+  DatasetSpec spec{"DN", 8, 6.0, 6};
+  std::vector<Edge> edges = BuildDatasetEdges(spec);
+  LSGraph g(256);
+  g.BuildFromEdges(edges);
+  ThreadPool pool(2);
+  VertexId source = edges.front().src;
+  // Threshold 0 forces every round through the pull path.
+  EdgeMapOptions dense_options;
+  dense_options.dense_threshold = 0.0;
+  BfsResult dense = Bfs(g, source, pool, dense_options);
+  BfsResult push = BfsPush(g, source, pool);
+  EXPECT_EQ(dense.level, push.level);
+}
+
+TEST(DirectionOptimizedBfsTest, ExplicitPullDirectionStillCorrect) {
+  DatasetSpec spec{"DP", 8, 6.0, 7};
+  std::vector<Edge> edges = BuildDatasetEdges(spec);
+  LSGraph g(256);
+  g.BuildFromEdges(edges);
+  ThreadPool pool(2);
+  VertexId source = edges.front().src;
+  EdgeMapOptions pull_options;
+  pull_options.direction = Direction::kPull;
+  BfsResult pull = Bfs(g, source, pool, pull_options);
+  BfsResult push = BfsPush(g, source, pool);
+  EXPECT_EQ(pull.level, push.level);
+  EXPECT_EQ(pull.reached, push.reached);
+}
+
+TEST(DirectionOptimizedBfsTest, IsolatedSourceTerminates) {
+  LSGraph g(8);
+  g.InsertEdge(1, 2);
+  ThreadPool pool(2);
+  BfsResult r = Bfs(g, 0, pool);
+  EXPECT_EQ(r.reached, 1u);
+}
+
 }  // namespace
 }  // namespace lsg

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -106,14 +107,50 @@ TEST(EdgeIoTest, TextRoundtrip) {
   std::remove(path.c_str());
 }
 
-TEST(EdgeIoTest, TextSkipsComments) {
+TEST(EdgeIoTest, TextSkipsCommentsBlankLinesAndExtraColumns) {
   std::string path = ::testing::TempDir() + "/commented.txt";
   FILE* f = fopen(path.c_str(), "w");
-  fprintf(f, "# SNAP header\n1 2\n%% other comment\n3 4\n");
+  fprintf(f,
+          "# SNAP header\n1 2 0.5 1700000000\n\n  \t\n%% other comment\n"
+          "3\t4\r\n  # indented comment\n");
   fclose(f);
   std::vector<Edge> edges = ReadEdgesText(path);
   EXPECT_EQ(edges, (std::vector<Edge>{{1, 2}, {3, 4}}));
   std::remove(path.c_str());
+}
+
+// The message ReadEdgesText throws for `content`, or "" if it parses.
+std::string ReadError(const std::string& path, const char* content) {
+  FILE* f = fopen(path.c_str(), "w");
+  fputs(content, f);
+  fclose(f);
+  std::string what;
+  try {
+    ReadEdgesText(path);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  std::remove(path.c_str());
+  return what;
+}
+
+TEST(EdgeIoTest, MalformedLinesThrowNamingTheLine) {
+  // An id past 32 bits, a line that is not two ids, and a negative id: each
+  // used to be narrowed, wrapped or skipped without a word.
+  std::string path = ::testing::TempDir() + "/malformed.txt";
+  EXPECT_NE(ReadError(path, "5000000000 1\n1 2\nfoo bar\n3 -1\n")
+                .find(path + ":1:"),
+            std::string::npos);
+  EXPECT_NE(ReadError(path, "1 2\nfoo bar\n3 -1\n").find(path + ":2:"),
+            std::string::npos);
+  EXPECT_NE(ReadError(path, "1 2\n3 -1\n").find(path + ":2:"),
+            std::string::npos);
+  // One column, and the reserved kInvalidVertex id.
+  EXPECT_NE(ReadError(path, "1 2\n7\n").find(path + ":2:"),
+            std::string::npos);
+  EXPECT_NE(ReadError(path, "4294967295 0\n").find(path + ":1:"),
+            std::string::npos);
+  EXPECT_EQ(ReadError(path, "4294967294 0\n"), "");
 }
 
 TEST(EdgeIoTest, MissingFileThrows) {

@@ -2,13 +2,12 @@
 // maintained-vs-recompute equivalence across insert+delete batches, thread
 // counts, and leaf representations; handcrafted regressions for the
 // deletion-first ordering and the invalidation cascade; the dirty-set
-// fallback; and the engine/service batch-boundary hooks (sync, async, and
-// ShardedGraph's drainer hook).
+// fallback; and the engine/service batch-boundary hooks (the engine's
+// batch observer and ShardedGraph's drainer hook).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -18,9 +17,7 @@
 #include "src/analytics/cc.h"
 #include "src/analytics/incremental/incremental_bfs.h"
 #include "src/analytics/incremental/incremental_cc.h"
-#include "src/analytics/incremental/incremental_pagerank.h"
 #include "src/analytics/incremental/maintained.h"
-#include "src/analytics/pagerank.h"
 #include "src/core/lsgraph.h"
 #include "src/parallel/thread_pool.h"
 #include "src/service/sharded_graph.h"
@@ -393,124 +390,8 @@ TEST(IncrementalCCTest, LargeComponentResetFallsBack) {
   EXPECT_EQ(query.Labels(), ConnectedComponents(graph, pool));
 }
 
-TEST(IncrementalPageRankTest, TracksKernelWithinL1Tolerance) {
-  ThreadPool pool(4);
-  constexpr VertexId kN = 800;
-  LSGraph graph(kN);
-
-  // Block-structured graph: rank perturbations cannot ripple past a
-  // 32-vertex component, so the dirty set stays component-sized and the
-  // delta path genuinely runs (on one connected graph the residual spreads
-  // to the whole component and only the sweep count is saved).
-  SplitMix64 rng(404);
-  std::vector<Edge> live;
-  for (size_t i = 0; i < 2400; ++i) {
-    live.push_back(RandomBlockPair(rng, kN, 32));
-  }
-  graph.BuildFromEdges(Symmetrize(live));
-
-  IncrementalOptions iopt;
-  iopt.fallback_fraction = 0.5;
-  IncrementalPageRank query(pool, iopt);
-  query.Init(graph);
-
-  auto l1_vs_kernel = [&]() {
-    std::vector<double> want =
-        PageRank(graph, pool,
-                 {.damping = query.options().damping,
-                  .iterations = query.FallbackIterations()});
-    double l1 = 0.0;
-    for (size_t v = 0; v < want.size(); ++v) {
-      l1 += std::abs(want[v] - query.Ranks()[v]);
-    }
-    return l1;
-  };
-  ASSERT_LT(l1_vs_kernel(), 1e-6);
-
-  for (int round = 0; round < 6; ++round) {
-    MutateRound(graph, rng, &live, /*inserts=*/6, /*deletes=*/4,
-                /*block_local=*/true,
-                [&](const std::vector<Edge>& ins, const std::vector<Edge>& del) {
-                  query.Apply(graph, ins, del);
-                });
-    ASSERT_LT(l1_vs_kernel(), 1e-6) << "round " << round;
-  }
-  EXPECT_GT(query.stats().incremental_runs, 0u);
-}
-
-TEST(IncrementalPageRankTest, AsymmetricModeRecomputesEveryBatch) {
-  // Directed mode: map_neighbors cannot stand in for the pull equation's
-  // in-neighbors, so the dirty set is underivable and every non-empty
-  // batch must run the kernel (regression: the delta path used to run
-  // anyway and silently drift from the kernel).
-  ThreadPool pool(2);
-  LSGraph graph(6);
-  graph.BuildFromEdges({{0, 1}, {1, 2}, {2, 3}, {3, 0}});
-
-  IncrementalOptions iopt;
-  iopt.symmetric = false;
-  IncrementalPageRank query(pool, iopt);
-  query.Init(graph);
-
-  auto l1_vs_kernel = [&]() {
-    std::vector<double> want =
-        PageRank(graph, pool,
-                 {.damping = query.options().damping,
-                  .iterations = query.FallbackIterations()});
-    double l1 = 0.0;
-    for (size_t v = 0; v < want.size(); ++v) {
-      l1 += std::abs(want[v] - query.Ranks()[v]);
-    }
-    return l1;
-  };
-
-  std::vector<Edge> ins = {{3, 4}, {4, 5}};
-  graph.InsertBatch(ins);
-  query.Apply(graph, ins, {});
-  EXPECT_TRUE(query.stats().last_fallback);
-  EXPECT_LT(l1_vs_kernel(), 1e-12);
-
-  std::vector<Edge> del = {{4, 5}};
-  graph.DeleteBatch(del);
-  query.Apply(graph, {}, del);
-  EXPECT_TRUE(query.stats().last_fallback);
-  EXPECT_EQ(query.stats().fallbacks, 2u);
-  EXPECT_LT(l1_vs_kernel(), 1e-12);
-
-  query.Apply(graph, {}, {});  // empty delta: nothing moved, no kernel run
-  EXPECT_FALSE(query.stats().last_fallback);
-  EXPECT_EQ(query.stats().fallbacks, 2u);
-}
-
-TEST(IncrementalPageRankTest, UniverseGrowthRecomputes) {
-  // Growing n changes every vertex's (1-d)/n base term; the next Apply
-  // must recompute rather than patch locally.
-  ThreadPool pool(2);
-  LSGraph graph(16);
-  std::vector<Edge> pairs = {{0, 1}, {1, 2}, {2, 3}};
-  graph.BuildFromEdges(Symmetrize(pairs));
-
-  IncrementalPageRank query(pool);
-  query.Init(graph);
-  graph.AddVertices(8);
-  std::vector<Edge> ins = Symmetrize({{3, 20}});
-  graph.InsertBatch(ins);
-  query.Apply(graph, ins, {});
-
-  std::vector<double> want =
-      PageRank(graph, pool,
-               {.damping = query.options().damping,
-                .iterations = query.FallbackIterations()});
-  ASSERT_EQ(query.Ranks().size(), want.size());
-  double l1 = 0.0;
-  for (size_t v = 0; v < want.size(); ++v) {
-    l1 += std::abs(want[v] - query.Ranks()[v]);
-  }
-  EXPECT_LT(l1, 1e-6);
-}
-
 TEST(MaintainedQueryTest, SyncMaintainsAcrossEngineBatchBoundaries) {
-  // kSync: the engine's observer applies the delta inline on the mutating
+  // The engine's observer applies the delta inline on the mutating
   // thread, so results are fresh the moment the mutation returns — across
   // batch inserts, batch deletes, single-edge ops, and a full rebuild.
   ThreadPool pool(2);
@@ -541,37 +422,6 @@ TEST(MaintainedQueryTest, SyncMaintainsAcrossEngineBatchBoundaries) {
   graph.BuildFromEdges({{0, 5}, {5, 6}});
   EXPECT_EQ(maintained.query().Levels(), BfsPush(graph, 0, pool).level);
   EXPECT_EQ(maintained.query().level(6), 2u);
-}
-
-TEST(MaintainedQueryTest, AsyncMaintainsOnPinnedSnapshots) {
-  // kAsync: each batch pins the post-batch snapshot on the writer thread
-  // and a background thread applies the delta against it — ingest never
-  // waits for maintenance, and after Drain() the result matches the graph.
-  ThreadPool pool(2);
-  LSGraph graph(256);
-  std::vector<Edge> pairs = {{0, 1}, {1, 2}};
-  graph.BuildFromEdges(Symmetrize(pairs));
-
-  MaintainedQuery<IncrementalBfs> maintained(graph, IncrementalBfs(0, pool),
-                                             MaintainMode::kAsync);
-  SplitMix64 rng(777);
-  std::vector<Edge> live = pairs;
-  for (int round = 0; round < 6; ++round) {
-    std::vector<Edge> ins_pairs;
-    for (int i = 0; i < 20; ++i) {
-      ins_pairs.push_back(RandomPair(rng, graph.num_vertices()));
-    }
-    graph.InsertBatch(Symmetrize(ins_pairs));
-    if (!live.empty()) {
-      std::vector<Edge> del_pairs = {live.back()};
-      live.pop_back();
-      graph.DeleteBatch(Symmetrize(del_pairs));
-    }
-    live.insert(live.end(), ins_pairs.begin(), ins_pairs.end());
-  }
-  maintained.Drain();
-  EXPECT_EQ(maintained.query().Levels(), Bfs(graph, 0, pool).level);
-  EXPECT_EQ(maintained.query().stats().batches, 12u);  // 6 inserts + 6 deletes
 }
 
 TEST(ShardedGraphTest, BatchHookMaintainsPerShardQueries) {

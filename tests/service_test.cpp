@@ -45,37 +45,6 @@ TEST(ShardMapTest, HashIsDeterministicTotalAndBalanced) {
   }
 }
 
-TEST(ShardMapTest, TableFallsBackToHashBeyondTable) {
-  TableShardMap map(4, {1, 3, 0});
-  EXPECT_EQ(map.ShardOf(0), 1u);
-  EXPECT_EQ(map.ShardOf(1), 3u);
-  EXPECT_EQ(map.ShardOf(2), 0u);
-  HashShardMap hash(4);
-  EXPECT_EQ(map.ShardOf(100), hash.ShardOf(100));  // beyond table
-  // Invalid table entries also fall back instead of escaping the range.
-  TableShardMap bad(2, {7});
-  EXPECT_LT(bad.ShardOf(0), 2u);
-}
-
-TEST(ShardMapTest, FennelPlacesNeighborsTogetherUnderLoadBound) {
-  DatasetSpec spec = TestDataset();
-  std::vector<Edge> edges = BuildDatasetEdges(spec);
-  const VertexId n = VertexId{1} << spec.scale;
-  std::vector<uint32_t> table = BuildFennelShardTable(n, edges, 4);
-  ASSERT_EQ(table.size(), n);
-  std::vector<size_t> load(4, 0);
-  for (uint32_t s : table) {
-    ASSERT_LT(s, 4u);
-    ++load[s];
-  }
-  // The gamma load penalty keeps placement from collapsing onto one shard.
-  for (size_t l : load) {
-    EXPECT_GT(l, n / 4 / 4);
-  }
-  // Determinism: same inputs, same table.
-  EXPECT_EQ(table, BuildFennelShardTable(n, edges, 4));
-}
-
 // ---- Option validation ----
 
 TEST(OptionsTest, ValidateRejectsAbsurdValues) {

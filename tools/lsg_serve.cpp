@@ -69,7 +69,6 @@ struct Args {
   uint64_t seed = 42;
   bool compressed = false;
   bool verify = false;
-  bool fennel = false;  // Fennel-style placement instead of hash
   std::string durability_dir;  // non-empty: WAL + checkpoints (DESIGN.md §14)
   std::string fsync = "group";
 };
@@ -90,7 +89,7 @@ int Usage() {
       "                 [--graph=FILE.lsgbin] [--ops=N] [--qps=Q]\n"
       "                 [--batch=N] [--read-frac=F] [--update-frac=F]\n"
       "                 [--khop-depth=K] [--readers=N] [--threads=N]\n"
-      "                 [--seed=N] [--compressed] [--verify] [--fennel]\n"
+      "                 [--seed=N] [--compressed] [--verify]\n"
       "                 [--durability-dir=DIR]\n"
       "                 [--fsync=group|percommit|interval]\n");
   return 2;
@@ -116,8 +115,8 @@ int Run(const Args& args) {
     base = BuildDatasetEdges(spec);
     n = VertexId{1} << args.scale;
   }
-  std::printf("lsg_serve: %u vertices, %zu base edges, %u shards (%s)\n",
-              n, base.size(), args.shards, args.fennel ? "fennel" : "hash");
+  std::printf("lsg_serve: %u vertices, %zu base edges, %u shards (hash)\n",
+              n, base.size(), args.shards);
 
   ServiceOptions sopts;
   sopts.num_shards = args.shards;
@@ -139,14 +138,7 @@ int Run(const Args& args) {
     std::fprintf(stderr, "lsg_serve: bad options: %s\n", err.c_str());
     return 2;
   }
-  std::unique_ptr<ShardMap> map;
-  if (args.fennel) {
-    map = std::make_unique<TableShardMap>(
-        args.shards, BuildFennelShardTable(n, base, args.shards), "fennel");
-  } else {
-    map = std::make_unique<HashShardMap>(args.shards);
-  }
-  ShardedGraph graph(n, std::move(map), sopts);
+  ShardedGraph graph(n, std::make_unique<HashShardMap>(args.shards), sopts);
   bool recovered = false;
   if (sopts.durability.enabled()) {
     RecoveryInfo rec = graph.Recover();
@@ -291,8 +283,6 @@ int main(int argc, char** argv) {
       args.compressed = true;
     } else if (std::strcmp(argv[i], "--verify") == 0) {
       args.verify = true;
-    } else if (std::strcmp(argv[i], "--fennel") == 0) {
-      args.fennel = true;
     } else {
       return lsg::Usage();
     }

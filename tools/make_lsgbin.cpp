@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
   std::string out;
   std::string rmat;
   std::string value;
-  uint64_t num_vertices = 0;
+  lsg::VertexId num_vertices = 0;
   size_t ranges = 0;
   bool symmetrize = false;
   for (int i = 1; i < argc; ++i) {
@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (ParseFlag(argv[i], "--num-vertices", &value)) {
-      num_vertices = lsg::ParseFlagValue<uint64_t>("--num-vertices", value);
+      num_vertices =
+          lsg::ParseFlagValue<lsg::VertexId>("--num-vertices", value);
     } else if (ParseFlag(argv[i], "--ranges", &value)) {
       ranges = lsg::ParseFlagValue<size_t>("--ranges", value);
     } else if (std::strcmp(argv[i], "--symmetrize") == 0) {
@@ -92,7 +93,7 @@ int main(int argc, char** argv) {
       }
       lsg::DatasetSpec spec{"RMAT", scale, avg_degree, seed};
       edges = lsg::BuildDatasetEdges(spec);  // already symmetrized + deduped
-      num_vertices = uint64_t{1} << scale;
+      num_vertices = lsg::VertexId{1} << scale;
     } else {
       edges = lsg::ReadEdgesText(in);
     }
@@ -106,23 +107,22 @@ int main(int argc, char** argv) {
       }
     }
     if (num_vertices == 0) {
+      // ReadEdgesText admits ids below kInvalidVertex only, so max + 1
+      // still fits in a VertexId.
       for (const lsg::Edge& e : edges) {
-        num_vertices = std::max<uint64_t>(
-            num_vertices, uint64_t{std::max(e.src, e.dst)} + 1);
+        num_vertices = std::max(num_vertices, std::max(e.src, e.dst) + 1);
       }
     }
-    size_t dropped =
-        lsg::RemoveOutOfRangeEdges(&edges, static_cast<lsg::VertexId>(num_vertices));
+    size_t dropped = lsg::RemoveOutOfRangeEdges(&edges, num_vertices);
     lsg::ParallelSortEdges(edges, lsg::ThreadPool::Global());
 
     timer.Reset();
-    lsg::WriteLsgbin(out, static_cast<lsg::VertexId>(num_vertices), edges,
-                     ranges);
+    lsg::WriteLsgbin(out, num_vertices, edges, ranges);
     std::printf(
-        "wrote %s: %llu vertices, %zu edges (%zu dropped out-of-range), "
+        "wrote %s: %u vertices, %zu edges (%zu dropped out-of-range), "
         "read %.3fs write %.3fs\n",
-        out.c_str(), static_cast<unsigned long long>(num_vertices),
-        edges.size(), dropped, read_seconds, timer.Seconds());
+        out.c_str(), num_vertices, edges.size(), dropped, read_seconds,
+        timer.Seconds());
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
