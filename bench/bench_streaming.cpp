@@ -272,11 +272,12 @@ void RunIncrementalMaintenance(ThreadPool& pool, BenchReporter& reporter) {
     }
     // Every 4th batch carries ~1%-of-batch deletions, sampled from the
     // previous round's insertions (so they mostly name edges the graph really
-    // holds). Deletions are rarer than inserts in real streams, and the mix
-    // exercises both CC regimes: insert-only rounds ride the delta path,
-    // while an intra-component deletion conservatively resets the whole
-    // component and (on a giant-component rMat graph) falls back to the full
-    // kernel — the fallback_rounds row quantifies how often.
+    // holds). Deletions are rarer than inserts in real streams. Most land
+    // on non-tree edges of CC's spanning forest and cost a word load per
+    // endpoint; a deleted tree edge cuts off only the subtree below it,
+    // which re-attaches through a replacement edge. Only a cut past the
+    // dirty cap falls back to the full kernel; the fallback_rounds row
+    // counts those.
     std::vector<Edge> del;
     if (rounds % 4 == 3) {
       for (size_t i = 0; i < prev_pairs.size(); i += 128) {

@@ -5,6 +5,7 @@
 // Without an argument a small synthetic social-network-like graph is
 // generated; with one, a SNAP-style "src dst" edge list is loaded.
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,12 @@ int main(int argc, char** argv) {
   std::vector<Edge> edges;
   VertexId num_vertices = 0;
   if (argc > 1) {
-    edges = ReadEdgesText(argv[1]);
+    try {
+      edges = ReadEdgesText(argv[1]);
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
+    }
     for (const Edge& e : edges) {
       num_vertices = std::max({num_vertices, e.src + 1, e.dst + 1});
     }

@@ -38,12 +38,14 @@ struct IncrementalOptions {
   double fallback_fraction = 0.05;
 
   // The maintained graph stores both orientations of every edge
-  // (symmetrized, as the paper's evaluation graphs are). Required by
-  // IncrementalCC (weak connectivity reads edges both ways) and by
-  // IncrementalBfs's deletion support (the support check reads a vertex's
-  // neighbors as in-neighbors). With symmetric = false, IncrementalBfs
-  // stays push-only incremental for insertions and falls back to the full
-  // kernel on any deletion that could detach part of the BFS tree.
+  // (symmetrized, as the paper's evaluation graphs are). IncrementalCC
+  // requires it and its constructor throws std::invalid_argument without
+  // it: weak connectivity, its forest's child scan and its flood all read
+  // edges both ways. IncrementalBfs's deletion support needs it too (the
+  // support check reads a vertex's neighbors as in-neighbors). With
+  // symmetric = false, IncrementalBfs stays push-only incremental for
+  // insertions and falls back to the full kernel on any deletion that
+  // could detach part of the BFS tree.
   bool symmetric = true;
 };
 

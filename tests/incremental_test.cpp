@@ -1,7 +1,8 @@
 // Maintained-query subsystem tests (DESIGN.md §15): randomized
 // maintained-vs-recompute equivalence across insert+delete batches, thread
 // counts, and leaf representations; handcrafted regressions for the
-// deletion-first ordering and the invalidation cascade; the dirty-set
+// deletion-first ordering, BFS's invalidation cascade and CC's spanning
+// forest (non-tree deletes, replacement edges, splits); the dirty-set
 // fallback; and the engine/service batch-boundary hooks (the engine's
 // batch observer and ShardedGraph's drainer hook).
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "src/analytics/bfs.h"
@@ -48,7 +50,7 @@ Edge RandomPair(SplitMix64& rng, VertexId n) {
 }
 
 // Random pair whose endpoints share a block of `block` consecutive ids —
-// keeps components small so CC's deletion reset stays under the dirty cap.
+// keeps the graph split into many small components.
 Edge RandomBlockPair(SplitMix64& rng, VertexId n, VertexId block) {
   VertexId base =
       static_cast<VertexId>(rng.NextBounded(n / block)) * block;
@@ -138,9 +140,8 @@ void RunCcEquivalence(size_t threads, bool compressed, uint64_t seed) {
   }
   graph.BuildFromEdges(Symmetrize(live));
 
-  // Deleting inside a component resets every member; ~8 deletions per
-  // round across <=32-vertex components must fit the cap for the delta
-  // path to run at all.
+  // Many small components: splits and merges are frequent, and a cut
+  // subtree never outgrows its <=32-vertex block.
   IncrementalOptions iopt;
   iopt.fallback_fraction = 0.5;
   IncrementalCC query(pool, iopt);
@@ -174,6 +175,62 @@ TEST(IncrementalCCTest, MatchesKernelAcrossRandomBatches) {
   for (size_t threads : {1, 2, 8}) {
     for (bool compressed : {false, true}) {
       RunCcEquivalence(threads, compressed, seed++);
+    }
+  }
+}
+
+// One giant component: random pairs over the whole universe, deletions
+// drawn from every live edge (base edges included), so nearly every
+// deleted edge sits inside the giant component. Labels must equal the
+// kernel's after every round; at least `min_incremental` of the 60 rounds
+// must stay on the delta path.
+void RunCcGiantComponent(size_t threads, bool compressed, uint64_t seed,
+                         double fallback_fraction, uint64_t min_incremental) {
+  ThreadPool pool(threads);
+  Options opt;
+  opt.compress_leaves = compressed;
+  constexpr VertexId kN = 2000;
+  LSGraph graph(kN, opt, &pool);
+
+  SplitMix64 rng(seed);
+  std::vector<Edge> live;
+  for (size_t i = 0; i < 8000; ++i) {
+    live.push_back(RandomPair(rng, kN));
+  }
+  graph.BuildFromEdges(Symmetrize(live));
+
+  IncrementalOptions iopt;
+  iopt.fallback_fraction = fallback_fraction;
+  IncrementalCC query(pool, iopt);
+  query.Init(graph);
+  ASSERT_EQ(query.Labels(), ConnectedComponents(graph, pool));
+
+  for (int round = 0; round < 60; ++round) {
+    MutateRound(graph, rng, &live, /*inserts=*/20, /*deletes=*/30,
+                /*block_local=*/false,
+                [&](const std::vector<Edge>& ins, const std::vector<Edge>& del) {
+                  query.Apply(graph, ins, del);
+                });
+    ASSERT_EQ(query.Labels(), ConnectedComponents(graph, pool))
+        << "round " << round << " threads " << threads << " compressed "
+        << compressed << " cap " << fallback_fraction;
+  }
+  EXPECT_GE(query.stats().incremental_runs, min_incremental)
+      << "threads " << threads << " compressed " << compressed << " cap "
+      << fallback_fraction;
+}
+
+TEST(IncrementalCCTest, GiantComponentDeletionsStayIncremental) {
+  uint64_t seed = 301;
+  for (size_t threads : {1, 2, 8}) {
+    for (bool compressed : {false, true}) {
+      // Uncapped, every round runs the delta path.
+      RunCcGiantComponent(threads, compressed, seed, 1.0, 60);
+      // At the default cap a deletion cuts off only a small subtree, so
+      // most rounds stay incremental.
+      RunCcGiantComponent(threads, compressed, seed,
+                          IncrementalOptions{}.fallback_fraction, 30);
+      ++seed;
     }
   }
 }
@@ -337,7 +394,7 @@ TEST(IncrementalBfsTest, AsymmetricModeFallsBackOnSupportDeletes) {
 
 TEST(IncrementalCCTest, SplitsAndRemergesComponents) {
   // Two chains bridged by one edge: deleting the bridge must split the
-  // labels (propagation alone cannot discover a split — the reset path
+  // labels (propagation alone cannot discover a split — the cut walk
   // does), and re-inserting it must merge them back.
   ThreadPool pool(2);
   LSGraph graph(8);
@@ -366,15 +423,106 @@ TEST(IncrementalCCTest, SplitsAndRemergesComponents) {
   EXPECT_FALSE(query.stats().last_fallback);
 }
 
-TEST(IncrementalCCTest, LargeComponentResetFallsBack) {
-  // Deleting inside one big component resets every member; with a tight
-  // cap that exceeds the dirty budget and runs the kernel instead.
+// A 300-vertex star on 0 plus the chord (10, 20). The forest's first
+// flood scans each leaf's adjacency from its smallest neighbor, 0, so
+// every leaf hangs off the root and the chord is a non-tree edge.
+void BuildStarWithChord(LSGraph* graph) {
+  std::vector<Edge> pairs;
+  for (VertexId v = 1; v < graph->num_vertices(); ++v) {
+    pairs.push_back(Edge{0, v});
+  }
+  pairs.push_back(Edge{10, 20});
+  graph->BuildFromEdges(Symmetrize(pairs));
+}
+
+TEST(IncrementalCCTest, NonTreeDeletionStaysIncremental) {
+  ThreadPool pool(2);
+  LSGraph graph(300);
+  BuildStarWithChord(&graph);
+  IncrementalCC query(pool);  // default cap: 15 of 300 vertices
+  query.Init(graph);
+
+  std::vector<Edge> del = Symmetrize({{10, 20}});
+  graph.DeleteBatch(del);
+  query.Apply(graph, {}, del);
+  EXPECT_FALSE(query.stats().last_fallback);
+  EXPECT_EQ(query.stats().last_dirty, 0u);
+  EXPECT_EQ(query.Labels(), ConnectedComponents(graph, pool));
+}
+
+TEST(IncrementalCCTest, TreeEdgeDeletionReattachesThroughReplacement) {
+  // Deleting (0, 10) cuts off leaf 10 alone; its chord to 20, whose path
+  // to the root is intact, is the replacement edge.
+  ThreadPool pool(2);
+  LSGraph graph(300);
+  BuildStarWithChord(&graph);
+  IncrementalCC query(pool);
+  query.Init(graph);
+
+  std::vector<Edge> del = Symmetrize({{0, 10}});
+  graph.DeleteBatch(del);
+  query.Apply(graph, {}, del);
+  EXPECT_FALSE(query.stats().last_fallback);
+  EXPECT_EQ(query.stats().last_dirty, 1u);
+  EXPECT_EQ(query.label(10), 0u);
+  EXPECT_EQ(query.Labels(), ConnectedComponents(graph, pool));
+}
+
+TEST(IncrementalCCTest, SplitRelabelsOnlyTheSeveredSide) {
+  // Path 0-3-1-2: deleting (0, 3) severs {3, 1, 2}, whose own minimum is
+  // 1, not the cut root 3; the root side keeps label 0.
+  ThreadPool pool(2);
+  LSGraph graph(4);
+  graph.BuildFromEdges(Symmetrize({{0, 3}, {3, 1}, {1, 2}}));
+
+  IncrementalOptions iopt;
+  iopt.fallback_fraction = 1.0;  // n = 4: the default cap truncates to 0
+  IncrementalCC query(pool, iopt);
+  query.Init(graph);
+  ASSERT_EQ(query.Labels(), std::vector<VertexId>(4, 0));
+
+  std::vector<Edge> del = Symmetrize({{0, 3}});
+  graph.DeleteBatch(del);
+  query.Apply(graph, {}, del);
+  EXPECT_FALSE(query.stats().last_fallback);
+  EXPECT_EQ(query.Labels(), (std::vector<VertexId>{0, 1, 1, 1}));
+  EXPECT_EQ(query.Labels(), ConnectedComponents(graph, pool));
+}
+
+TEST(IncrementalCCTest, MixedBatchCutsAndReconnects) {
+  // One batch deletes the bridge between two chains and inserts another
+  // edge between them: the cut side re-attaches through the new edge.
+  ThreadPool pool(2);
+  LSGraph graph(8);
+  graph.BuildFromEdges(Symmetrize({{0, 1}, {1, 2}, {2, 3},   // chain A
+                                   {4, 5}, {5, 6}, {6, 7},   // chain B
+                                   {3, 4}}));                // bridge
+
+  IncrementalOptions iopt;
+  iopt.fallback_fraction = 1.0;
+  IncrementalCC query(pool, iopt);
+  query.Init(graph);
+
+  std::vector<Edge> del = Symmetrize({{3, 4}});
+  std::vector<Edge> ins = Symmetrize({{0, 7}});
+  graph.DeleteBatch(del);
+  graph.InsertBatch(ins);
+  query.Apply(graph, ins, del);
+  EXPECT_FALSE(query.stats().last_fallback);
+  EXPECT_EQ(query.Labels(), std::vector<VertexId>(8, 0));
+  EXPECT_EQ(query.Labels(), ConnectedComponents(graph, pool));
+}
+
+TEST(IncrementalCCTest, SeveredSubtreeOverCapFallsBack) {
+  // On the path 0-1-...-299 the forest is the path itself, so deleting
+  // (4, 5) cuts off the 295 vertices beyond it: past a 5% cap, the walk
+  // stops and the forest is rebuilt.
   ThreadPool pool(2);
   constexpr VertexId kN = 300;
   LSGraph graph(kN);
   std::vector<Edge> pairs;
   for (VertexId v = 1; v < kN; ++v) {
-    pairs.push_back(Edge{0, v});  // one star component
+    pairs.push_back(Edge{v - 1, v});
   }
   graph.BuildFromEdges(Symmetrize(pairs));
 
@@ -383,11 +531,21 @@ TEST(IncrementalCCTest, LargeComponentResetFallsBack) {
   IncrementalCC query(pool, iopt);
   query.Init(graph);
 
-  std::vector<Edge> del = Symmetrize({{0, 7}});
+  std::vector<Edge> del = Symmetrize({{4, 5}});
   graph.DeleteBatch(del);
   query.Apply(graph, {}, del);
   EXPECT_TRUE(query.stats().last_fallback);
+  EXPECT_EQ(query.label(kN - 1), 5u);
   EXPECT_EQ(query.Labels(), ConnectedComponents(graph, pool));
+}
+
+TEST(IncrementalCCTest, RejectsAsymmetricOptions) {
+  // Weak connectivity reads every edge both ways; a graph that stores one
+  // orientation would be read wrong, so the query refuses it up front.
+  ThreadPool pool(1);
+  IncrementalOptions iopt;
+  iopt.symmetric = false;
+  EXPECT_THROW({ IncrementalCC query(pool, iopt); }, std::invalid_argument);
 }
 
 TEST(MaintainedQueryTest, SyncMaintainsAcrossEngineBatchBoundaries) {
