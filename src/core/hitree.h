@@ -34,6 +34,7 @@
 #include "src/core/options.h"
 #include "src/core/ria.h"
 #include "src/util/bitvector.h"
+#include "src/util/cache.h"
 #include "src/util/graph_types.h"
 
 namespace lsg {
@@ -152,6 +153,26 @@ class HiNode {
 
   size_t size() const;
   Kind kind() const { return kind_; }
+
+  // Starts loading what an update reads right after this node: the id
+  // buffer of an array tail, or the Ria/Lia/Cria object. The last stage of
+  // the batch apply pipeline (DESIGN.md §7); changes nothing.
+  void PrefetchPayload() const {
+    switch (kind_) {
+      case Kind::kArray:
+        PrefetchLines(array_.data(), array_.size() * sizeof(VertexId));
+        return;
+      case Kind::kRia:
+        PrefetchLines(ria_.get(), sizeof(Ria));
+        return;
+      case Kind::kLia:
+        PrefetchLines(lia_.get(), sizeof(Lia));
+        return;
+      case Kind::kCria:
+        PrefetchLines(cria_.get(), sizeof(Cria));
+        return;
+    }
+  }
 
   // Smallest id; requires size() > 0.
   VertexId First() const;

@@ -264,8 +264,15 @@ class LSGraph {
   void RetireTail(HiNode* tail);
   void ReleaseSnapshotVersion(uint64_t version) const;
 
-  size_t InsertPreparedLocked(const PreparedBatch& pb);
-  size_t DeletePreparedLocked(const PreparedBatch& pb);
+  // The apply phase of InsertPrepared / DeletePrepared, under the writer
+  // gate: one group per vertex, run through the prefetch pipeline below.
+  size_t ApplyPreparedLocked(const PreparedBatch& pb, bool is_delete);
+  // ForEachGroupLargestFirst's lookahead hook: before chunk[i] is applied,
+  // starts the vertex block, HiNode and payload loads of later groups of
+  // the chunk, at the distances in lsgraph.cpp. Only reads vertices of the
+  // chunk, which this thread alone mutates.
+  void PrefetchAhead(const PreparedBatch& pb, std::span<const uint32_t> chunk,
+                     size_t i) const;
 
   // Invoked outside the writer gate on the mutating thread.
   void NotifyBatchApplied(bool is_delete, std::span<const Edge> edges) const;

@@ -1,6 +1,8 @@
 #include "src/service/sharded_graph.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -437,12 +439,21 @@ void ShardedGraph::DrainerLoop(uint32_t s) {
     // Auto-checkpoint while still marked applying (Flush()'s quiesce
     // excludes admin ops until it finishes). I/O failure leaves the old
     // checkpoint + longer WAL — still consistent — and retries next batch.
+    // Every failure is counted; the 1st, 2nd, 4th, 8th, ... are logged, so
+    // a dead disk shows without flooding the log.
     if (shard.wal != nullptr && options_.durability.checkpoint_wal_bytes != 0 &&
         shard.wal->bytes_since_rotate() >=
             options_.durability.checkpoint_wal_bytes) {
       try {
         CheckpointShard(s);
-      } catch (const std::exception&) {
+      } catch (const std::exception& e) {
+        uint64_t failures = shard.checkpoint_failures.fetch_add(
+                                1, std::memory_order_relaxed) +
+                            1;
+        if (std::has_single_bit(failures)) {
+          std::fprintf(stderr, "shard %u: auto-checkpoint failed: %s\n", s,
+                       e.what());
+        }
       }
     }
     {
@@ -485,6 +496,14 @@ uint64_t ShardedGraph::oob_rejected() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {
     total += shard->engine->oob_rejected();
+  }
+  return total;
+}
+
+uint64_t ShardedGraph::checkpoint_failures() const {
+  uint64_t total = 0;
+  for (const auto& shard : shards_) {
+    total += shard->checkpoint_failures.load(std::memory_order_relaxed);
   }
   return total;
 }

@@ -196,6 +196,10 @@ class ShardedGraph {
   // sample during ingest.
   EdgeCount num_edges() const;
   uint64_t oob_rejected() const;
+  // Failed auto-checkpoints, summed over shards. A failure keeps the old
+  // checkpoint and the longer WAL, and the drainer retries after its next
+  // batch, so a failing disk shows here as a rising count.
+  uint64_t checkpoint_failures() const;
 
   // Sums every shard engine's counters into *out (Clear()ed first).
   void AggregateStats(CoreStats* out) const;
@@ -288,6 +292,7 @@ class ShardedGraph {
     std::deque<Task> queue;
     bool applying = false;
     bool stop = false;
+    std::atomic<uint64_t> checkpoint_failures{0};
 
     std::thread drainer;
   };

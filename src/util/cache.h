@@ -39,6 +39,30 @@ inline void* AlignedAlloc(size_t n) {
 
 inline void AlignedFree(void* p) { std::free(p); }
 
+// Starts loading the cache line holding p. A hint that never faults, so p
+// may be null. An opaque instruction rather than __builtin_prefetch: GCC
+// counts a function that only prefetches as free of side effects and
+// deletes the calls to it that it does not inline, which compiled the
+// batch apply pipeline (DESIGN.md §7) to nothing.
+inline void PrefetchLine(const void* p) {
+#if defined(__x86_64__) || defined(__i386__)
+  asm volatile("prefetcht0 (%0)" : : "r"(p));
+#elif defined(__aarch64__)
+  asm volatile("prfm pldl1keep, [%0]" : : "r"(p));
+#else
+  __builtin_prefetch(p);
+#endif
+}
+
+// PrefetchLine for every cache line that overlaps [p, p + bytes).
+inline void PrefetchLines(const void* p, size_t bytes) {
+  const auto begin = reinterpret_cast<uintptr_t>(p);
+  for (uintptr_t line = begin & ~uintptr_t{kCacheLineBytes - 1};
+       line < begin + bytes; line += kCacheLineBytes) {
+    PrefetchLine(reinterpret_cast<const void*>(line));
+  }
+}
+
 // Typed helper: allocates an aligned, uninitialized array of `n` elements.
 template <typename T>
 T* AllocateArray(size_t n) {

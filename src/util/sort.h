@@ -28,6 +28,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "src/parallel/thread_pool.h"
@@ -69,6 +71,15 @@ inline void RadixSortEdges(std::vector<Edge>& edges) {
                 "histogram counters must cover > 2^32-edge batches");
   if (edges.size() < 2048) {
     std::sort(edges.begin(), edges.end());
+    return;
+  }
+  // Sorted input (a checkpoint bulk load: DumpEdges writes edges in order)
+  // costs one read pass and allocates nothing. Unsorted input stops the
+  // check at its first descent.
+  if (std::is_sorted(edges.begin(), edges.end(),
+                     [](const Edge& a, const Edge& b) {
+                       return EdgeKey(a) < EdgeKey(b);
+                     })) {
     return;
   }
   std::vector<Edge> tmp(edges.size());
@@ -510,21 +521,43 @@ inline PreparedBatch PrepareBatch(std::vector<Edge> edges, ThreadPool& pool,
   return pb;
 }
 
+// Default lookahead hook of ForEachGroupLargestFirst: does nothing.
+struct NoLookahead {
+  void operator()(std::span<const uint32_t> /*chunk*/, size_t /*i*/) const {}
+};
+
 // Runs f(g) for every group of `pb`, scheduling groups largest-first with a
 // small self-scheduling grain so a hub group cannot serialize the tail.
-template <typename F>
-void ForEachGroupLargestFirst(const PreparedBatch& pb, ThreadPool& pool,
-                              F&& f) {
+// Each thread takes a chunk of pb.order at a time and applies it in order;
+// before f(chunk[i]) runs, ahead(chunk, i) may start loads for the chunk's
+// later groups (LSGraph's apply pipeline, DESIGN.md §7). If f returns a
+// count, the counts are summed per chunk and the total is returned.
+template <typename F, typename Ahead = NoLookahead>
+size_t ForEachGroupLargestFirst(const PreparedBatch& pb, ThreadPool& pool,
+                                F&& f, Ahead&& ahead = {}) {
+  constexpr bool kCounts = !std::is_void_v<std::invoke_result_t<F&, size_t>>;
   size_t groups = pb.groups();
   size_t grain = std::max<size_t>(1, groups / (pool.num_threads() * 256));
+  std::atomic<size_t> total{0};
   pool.ParallelForChunked(
       0, groups,
       [&](size_t lo, size_t hi, size_t /*tid*/) {
-        for (size_t i = lo; i < hi; ++i) {
-          f(pb.order[i]);
+        std::span<const uint32_t> chunk(pb.order.data() + lo, hi - lo);
+        size_t sum = 0;
+        for (size_t i = 0; i < chunk.size(); ++i) {
+          ahead(chunk, i);
+          if constexpr (kCounts) {
+            sum += f(chunk[i]);
+          } else {
+            f(chunk[i]);
+          }
+        }
+        if constexpr (kCounts) {
+          total.fetch_add(sum, std::memory_order_relaxed);
         }
       },
       grain);
+  return total.load(std::memory_order_relaxed);
 }
 
 }  // namespace lsg

@@ -3,13 +3,19 @@
 // reference on adversarial inputs, PrepareBatch's fused grouping must match
 // a serial boundary scan, and every engine's InsertBatch / DeleteBatch must
 // agree with a std::set reference across 1/2/8 threads under heavy source
-// duplication, duplicate (src, dst) pairs, and single-hub skew.
+// duplication, duplicate (src, dst) pairs, and single-hub skew. LSGraph's
+// pipelined apply must match the oracle for every tail kind, pool size and
+// batch length around the pipeline's distances, with and without a pinned
+// snapshot.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "src/baselines/ctree_graph.h"
@@ -136,6 +142,36 @@ TEST(ParallelSortEdgesTest, ExtremeVertexIds) {
   ExpectByteIdentical(edges, want);
 }
 
+// RadixSortEdges returns before its radix passes when the input is already
+// sorted; nearly sorted inputs must still take the full sort.
+TEST(RadixSortEdgesTest, SortedAndNearlySortedInputs) {
+  auto sort_unique = [](std::vector<Edge> edges) {
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    return edges;
+  };
+  for (size_t n : {size_t{2048}, size_t{5000}, size_t{200000}}) {
+    SCOPED_TRACE(n);
+    std::vector<Edge> unique_sorted;
+    std::vector<Edge> with_dups;
+    for (size_t i = 0; i < n; ++i) {
+      // At n = 200000 the sources pass 2^16, so every radix pass has work.
+      unique_sorted.push_back({static_cast<VertexId>(i * 37 / 8),
+                               static_cast<VertexId>(i % 8)});
+      with_dups.push_back({static_cast<VertexId>(i / 16),
+                           static_cast<VertexId>(i % 16 / 4)});
+    }
+    std::vector<Edge> last_out = unique_sorted;
+    last_out.back() = {0, 0};
+    std::vector<Edge> first_out = unique_sorted;
+    first_out.front() = {~VertexId{0}, ~VertexId{0}};
+    for (const std::vector<Edge>* input :
+         {&unique_sorted, &with_dups, &last_out, &first_out}) {
+      ExpectByteIdentical(SerialSortDedup(*input), sort_unique(*input));
+    }
+  }
+}
+
 TEST(PrepareBatchTest, FusedGroupingMatchesSerialScan) {
   for (size_t nthreads : {1u, 2u, 8u}) {
     ThreadPool pool(nthreads);
@@ -184,6 +220,32 @@ TEST(PrepareBatchTest, EmptyBatch) {
   size_t calls = 0;
   ForEachGroupLargestFirst(pb, pool, [&](size_t) { ++calls; });
   EXPECT_EQ(calls, 0u);
+}
+
+TEST(PrepareBatchTest, LookaheadRunsBeforeEachGroupAndCountsSum) {
+  for (size_t nthreads : {1u, 2u, 8u}) {
+    ThreadPool pool(nthreads);
+    PreparedBatch pb = PrepareBatch(RandomEdges(50000, 20000, 5), pool);
+    std::vector<std::atomic<int>> ahead(pb.groups());
+    std::vector<std::atomic<int>> applied(pb.groups());
+    size_t total = ForEachGroupLargestFirst(
+        pb, pool,
+        [&](size_t g) -> size_t {
+          // The hook has seen this group's position, and no group runs
+          // twice.
+          EXPECT_EQ(ahead[g].load(), 1);
+          EXPECT_EQ(applied[g].fetch_add(1), 0);
+          return pb.group_end(g) - pb.group_begin(g);
+        },
+        [&](std::span<const uint32_t> chunk, size_t i) {
+          ASSERT_LT(i, chunk.size());
+          ahead[chunk[i]].fetch_add(1);
+        });
+    EXPECT_EQ(total, pb.edges.size());
+    for (size_t g = 0; g < pb.groups(); ++g) {
+      EXPECT_EQ(applied[g].load(), 1);
+    }
+  }
 }
 
 TEST(PrepareBatchTest, PhaseStatsArePopulated) {
@@ -321,6 +383,182 @@ TYPED_TEST(BatchEquivalenceTest, RandomizedAgainstSetReference) {
     }
     EXPECT_EQ(g->DeleteBatch(del), RefDeleteBatch(ref, del));
     ExpectMatchesReference(*g, ref);
+  }
+}
+
+// ---- LSGraph's pipelined batch apply vs a std::set oracle. ----
+
+// Options under which a ~3000-vertex graph holds every tail kind at once:
+// degree <= 12 stays inline, then array (<= 4 tail ids), RIA (<= 64) and
+// LIA; with compression, CRIA replaces array and RIA.
+Options SmallTailOptions(bool compress) {
+  Options o;
+  o.a_threshold = 4;
+  o.m_threshold = 64;
+  o.compress_leaves = compress;
+  return o;
+}
+
+// Target degree of v: a few LIA hubs, RIA and array tails, inline-only.
+size_t TailClassDegree(VertexId v) {
+  if (v < 12) {
+    return 200;
+  }
+  if (v < 120) {
+    return 40;
+  }
+  if (v < 1200) {
+    return 14;
+  }
+  return 4;
+}
+
+// A batch of exactly `groups` distinct sources, some >= n, whose edges mix
+// out-of-range destinations in. Deletions name mostly present edges.
+std::vector<Edge> GroupBatch(const RefGraph& ref, size_t groups, bool del,
+                             SplitMix64& rng) {
+  const VertexId n = ref.num_vertices();
+  std::vector<VertexId> sources(n + 40);
+  std::iota(sources.begin(), sources.end(), VertexId{0});
+  for (size_t i = 0; i < groups; ++i) {
+    std::swap(sources[i], sources[i + rng.NextBounded(sources.size() - i)]);
+  }
+  std::vector<Edge> batch;
+  for (size_t i = 0; i < groups; ++i) {
+    VertexId src = sources[i];
+    size_t count = 1 + rng.NextBounded(src < n && src < 120 ? 24 : 4);
+    std::vector<VertexId> present =
+        src < n ? ref.Neighbors(src) : std::vector<VertexId>{};
+    for (size_t k = 0; k < count; ++k) {
+      VertexId dst = static_cast<VertexId>(rng.NextBounded(n + 20));
+      if (del && !present.empty() && rng.NextBounded(4) != 0) {
+        dst = present[rng.NextBounded(present.size())];
+      }
+      batch.push_back({src, dst});
+    }
+  }
+  return batch;
+}
+
+// Applies `batch` to the oracle; returns the edges it changed, and adds to
+// *oob the distinct edges the engine must reject as out of range.
+size_t RefApply(RefGraph& ref, const std::vector<Edge>& batch, bool del,
+                uint64_t* oob) {
+  const VertexId n = ref.num_vertices();
+  std::vector<Edge> unique = SerialSortDedup(batch);
+  size_t changed = 0;
+  for (const Edge& e : unique) {
+    if (e.src >= n || e.dst >= n) {
+      ++*oob;
+    } else {
+      changed += del ? ref.Delete(e.src, e.dst) : ref.Insert(e.src, e.dst);
+    }
+  }
+  return changed;
+}
+
+void ExpectSnapshotMatches(const GraphSnapshot& snap, const RefGraph& ref) {
+  ASSERT_EQ(snap.num_edges(), ref.num_edges());
+  for (VertexId v = 0; v < ref.num_vertices(); ++v) {
+    std::vector<VertexId> got;
+    snap.map_neighbors(v, [&got](VertexId u) { got.push_back(u); });
+    ASSERT_EQ(got, ref.Neighbors(v)) << "vertex " << v;
+  }
+}
+
+// Base graph: TailClassDegree(v) random edges out of every vertex v.
+std::vector<Edge> TailClassEdges(VertexId n, SplitMix64& rng) {
+  std::vector<Edge> base;
+  for (VertexId v = 0; v < n; ++v) {
+    for (size_t k = 0; k < TailClassDegree(v); ++k) {
+      base.push_back({v, static_cast<VertexId>(rng.NextBounded(n))});
+    }
+  }
+  return base;
+}
+
+// Applies `batch` to the oracle and to both engines: `free_g` with nothing
+// pinned, `pinned_g` with a snapshot of its pre-batch state pinned across
+// the apply. Checks the returned count, oob_rejected(), the adjacency and
+// the pinned snapshot.
+void ApplyAndCheck(LSGraph& free_g, LSGraph& pinned_g, RefGraph& ref,
+                   const std::vector<Edge>& batch, bool del, uint64_t* oob) {
+  RefGraph before = ref;
+  size_t want = RefApply(ref, batch, del, oob);
+
+  EXPECT_EQ(del ? free_g.DeleteBatch(batch) : free_g.InsertBatch(batch),
+            want);
+  EXPECT_EQ(free_g.oob_rejected(), *oob);
+  ExpectMatchesReference(free_g, ref);
+
+  auto snap = pinned_g.Snapshot();
+  EXPECT_EQ(del ? pinned_g.DeleteBatch(batch) : pinned_g.InsertBatch(batch),
+            want);
+  EXPECT_EQ(pinned_g.oob_rejected(), *oob);
+  ExpectMatchesReference(pinned_g, ref);
+  ExpectSnapshotMatches(*snap, before);
+}
+
+TEST(LSGraphApplyTest, MatchesOracleForEveryTailKind) {
+  constexpr VertexId kV = 3000;
+  // One group, both sides of each pipeline distance (8, 12, 16 positions
+  // ahead), and thousands of groups.
+  const size_t kGroupCounts[] = {1, 7, 8, 9, 11, 12, 13, 15, 16, 17, 2900};
+  for (bool compress : {false, true}) {
+    for (size_t nthreads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "compress " << compress
+                                      << ", threads " << nthreads);
+      ThreadPool pool(nthreads);
+      LSGraph free_g(kV, SmallTailOptions(compress), &pool);
+      LSGraph pinned_g(kV, SmallTailOptions(compress), &pool);
+      RefGraph ref(kV);
+      SplitMix64 rng(77 + nthreads + (compress ? 100 : 0));
+      uint64_t oob = 0;
+      ApplyAndCheck(free_g, pinned_g, ref, TailClassEdges(kV, rng), false,
+                    &oob);
+      size_t bands[4] = {};  // inline-only, array, RIA, LIA
+      for (VertexId v = 0; v < kV; ++v) {
+        size_t tail = ref.degree(v) - std::min(ref.degree(v),
+                                               LSGraph::kInlineCap);
+        ++bands[tail == 0 ? 0 : tail <= 4 ? 1 : tail <= 64 ? 2 : 3];
+      }
+      for (size_t band : bands) {
+        ASSERT_GT(band, 0u);
+      }
+
+      for (size_t groups : kGroupCounts) {
+        for (bool del : {false, true}) {
+          SCOPED_TRACE(testing::Message() << groups << " groups, "
+                                          << (del ? "delete" : "insert"));
+          ApplyAndCheck(free_g, pinned_g, ref,
+                        GroupBatch(ref, groups, del, rng), del, &oob);
+        }
+      }
+      EXPECT_GT(oob, 0u);
+    }
+  }
+}
+
+// Above one thread, the pool hands each thread chunks of about
+// groups / (threads * 256) groups of the apply order. With 40000 groups
+// every chunk outruns the farthest distance (16), so all three stages run
+// inside chunks while the other threads apply theirs.
+TEST(LSGraphApplyTest, FullPipelineInsideChunksOfSeveralThreads) {
+  constexpr VertexId kV = 40000;
+  for (size_t nthreads : {2u, 8u}) {
+    SCOPED_TRACE(testing::Message() << "threads " << nthreads);
+    ThreadPool pool(nthreads);
+    LSGraph free_g(kV, SmallTailOptions(false), &pool);
+    LSGraph pinned_g(kV, SmallTailOptions(false), &pool);
+    RefGraph ref(kV);
+    SplitMix64 rng(500 + nthreads);
+    uint64_t oob = 0;
+    ApplyAndCheck(free_g, pinned_g, ref, TailClassEdges(kV, rng), false,
+                  &oob);
+    for (bool del : {false, true}) {
+      ApplyAndCheck(free_g, pinned_g, ref, GroupBatch(ref, kV, del, rng), del,
+                    &oob);
+    }
   }
 }
 

@@ -1,8 +1,9 @@
 // Durability tier tests (DESIGN.md §14): WAL record round-trips, the
 // torn-tail truncation contract at EVERY byte offset of a multi-record log,
 // corruption detection, checkpoint publish/fallback, full-shard recovery,
-// ShardedGraph recover/stop semantics, and lsg_serve's graceful SIGTERM
-// path (fork/exec of the real binary, $LSG_SERVE_BIN).
+// ShardedGraph recover/stop semantics, counted auto-checkpoint failures,
+// and lsg_serve's graceful SIGTERM path (fork/exec of the real binary,
+// $LSG_SERVE_BIN).
 //
 // The randomized, process-killing counterpart lives in tools/crash_fuzz
 // (ctest -L crash); these tests pin the deterministic corners.
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -26,9 +28,11 @@
 #include "src/durability/checkpoint.h"
 #include "src/durability/wal.h"
 #include "src/gen/lsgbin.h"
+#include "src/service/router.h"
 #include "src/service/sharded_graph.h"
 #include "src/testing/crash.h"
 #include "src/util/graph_types.h"
+#include "src/util/prng.h"
 
 namespace lsg {
 namespace {
@@ -374,6 +378,49 @@ TEST_F(DurabilityTest, ShardedGraphSurvivesRestartViaCheckpointPlusTail) {
                                          /*num_ops=*/5, /*edges_per_batch=*/8);
   EXPECT_EQ(RunCrashWorkload(graph, more, [](size_t) {}), more.ops.size());
   EXPECT_TRUE(graph.CheckInvariants());
+}
+
+TEST_F(DurabilityTest, FailedAutoCheckpointsAreCountedAndIngestGoesOn) {
+  const std::string dir = TempDir("svc_ckpt_fail");
+  ServiceOptions sopts = DurableServiceOptions(dir);
+  sopts.durability.checkpoint_wal_bytes = size_t{64} << 10;
+  constexpr VertexId kV = 4096;
+  ShardedGraph graph(kV, nullptr, sopts);
+  // Shard 0's directory disappears: its WAL keeps appending through the
+  // open segment, but every checkpoint it attempts fails.
+  RemoveTree(dir + "/shard-0");
+  SplitMix64 rng(5);
+  std::vector<Edge> inserted;
+  testing::internal::CaptureStderr();
+  for (int b = 0; b < 40; ++b) {  // ~2.5x the threshold per shard
+    std::vector<Edge> batch;
+    for (int i = 0; i < 1000; ++i) {
+      batch.push_back({static_cast<VertexId>(rng.NextBounded(kV)),
+                       static_cast<VertexId>(rng.NextBounded(kV))});
+    }
+    inserted.insert(inserted.end(), batch.begin(), batch.end());
+    EXPECT_EQ(graph.SubmitAndWait(ShardedGraph::UpdateKind::kInsert,
+                                  std::move(batch)),
+              SubmitStatus::kOk);
+  }
+  // A drainer attempts its checkpoint after acknowledging the batch; once
+  // Flush() returns, the last attempt has been counted and logged.
+  graph.Flush();
+  const std::string log = testing::internal::GetCapturedStderr();
+  const uint64_t failures = graph.checkpoint_failures();
+  EXPECT_GE(failures, 1u);
+  // Only the 1st, 2nd, 4th, 8th, ... failure is logged.
+  const std::string line = "shard 0: auto-checkpoint failed: ";
+  size_t logged = 0;
+  for (size_t at = log.find(line); at != std::string::npos;
+       at = log.find(line, at + line.size())) {
+    ++logged;
+  }
+  EXPECT_EQ(logged, static_cast<size_t>(std::bit_width(failures))) << log;
+  Router router(graph);
+  for (const Edge& e : inserted) {
+    ASSERT_TRUE(router.HasEdge(e.src, e.dst)) << e.src << " " << e.dst;
+  }
 }
 
 TEST_F(DurabilityTest, RecoverOnFreshDirectoryIsANoOp) {
